@@ -4,15 +4,12 @@ detection, free-parameter cross-checks, and the per-case verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import integrate as integ
-from .cases import CASES, ConstraintError, get_case
+from .cases import ConstraintError, get_case
 from .exact import rat, rat_str
 from .reptheory import AloffWallach, dim_W, dim_W_s5
-from .solver import (SeriesSolution, check_smoothness, einstein_series,
-                     free_slots, solve_series)
-from .systems import SystemId
+from .solver import check_smoothness, free_slots, solve_series
 
 
 def detect_f_vanishing(aw: AloffWallach, order: int = 30,
@@ -69,57 +66,37 @@ def su4_family_check(a0, b0, c0, t0: float = 1e-3, t_end: float = 1.0,
     return report
 
 
-#: Fixed gauge-correction table: raw vertical freedom dim(W_2^v) - dim(W_0^v)
-#: counts equivariant second-derivative data; entries changing the radial
-#:  coordinate or the radial-fiber mixing are removed by the arclength and
-#: diagonal gauge.  The flag and five-sphere rows come from the weight
-#: machinery; the projective-plane rows are pinned constants (S^2 of the
-#: 4-dim normal space decomposes under the unitary isotropy into trace,
-#: traceless-hermitian and complex-symmetric parts: Schur dims 1 + 1 + 2).
-_VERTICAL_TABLE = {
-    "A": {"W2v": None, "W0v": None, "orbit": "u12", "gauge_ignored": 1},
-    "C": {"W2v": None, "W0v": None, "orbit": "u12-z2", "gauge_ignored": 1},
-    "D": {"W2v": None, "W0v": None, "orbit": "s5", "gauge_ignored": 0},
-    "E": {"W2v": 4, "W0v": 1, "orbit": "cp2", "gauge_ignored": 1},
-    "F": {"W2v": 4, "W0v": 1, "orbit": "cp2", "gauge_ignored": 1},
-    "G": {"W2v": 4, "W0v": 1, "orbit": "cp2", "gauge_ignored": 1},
-    "H": {"W2v": 4, "W0v": 1, "orbit": "cp2", "gauge_ignored": 1},
-}
+def _vertical_dims(orbit: str, aw: AloffWallach) -> tuple[int, int]:
+    """(dim W_2^v, dim W_0^v) at a singular orbit.
 
-#: Third-order (vertical) free-parameter count of the Einstein theory per
-#: case, diagonal sector, after gauge reduction; the Spin(7) slots must be a
-#: subset.
-_ASSUMPTION_OK = {"A": True, "C": True, "D": True, "E": True, "F": True,
-                  "G": False, "H": False}
+    The flag and five-sphere values come from the weight machinery; the
+    projective-plane values are pinned constants (S^2 of the 4-dim normal
+    space decomposes under the unitary isotropy into trace,
+    traceless-hermitian and complex-symmetric parts: Schur dims 1 + 1 + 2).
+    """
+    if orbit == "cp2":
+        return 4, 1
+    if orbit == "s5":
+        return dim_W_s5(2, "v"), dim_W_s5(0, "v")
+    return dim_W(aw, orbit, 2, "v"), dim_W(aw, orbit, 0, "v")
 
 
 def cross_check_free_params(case_id: str, k: int | None = None,
                             l: int | None = None) -> dict:
     """Compare the solver's slot census against the equivariant-map counts."""
     case = get_case(case_id)
-    if case.id == "B":
-        raise ConstraintError("use case A at (1, 0) for the flag comparison")
-    if case.id not in _VERTICAL_TABLE:
+    if case.vertical is None:
         raise ConstraintError(f"no dimension table for case {case.id}")
     aw = case.resolve_aw(k, l)
-    entry = dict(_VERTICAL_TABLE[case.id])
-    if entry["orbit"] == "u12":
-        entry["W2v"] = dim_W(aw, "u12", 2, "v")
-        entry["W0v"] = dim_W(aw, "u12", 0, "v")
-    elif entry["orbit"] == "u12-z2":
-        entry["W2v"] = dim_W(aw, "u12-z2", 2, "v")
-        entry["W0v"] = dim_W(aw, "u12-z2", 0, "v")
-    elif entry["orbit"] == "s5":
-        entry["W2v"] = dim_W_s5(2, "v")
-        entry["W0v"] = dim_W_s5(0, "v")
-    net = entry["W2v"] - entry["W0v"] - entry["gauge_ignored"]
+    w2v, w0v = _vertical_dims(case.orbit, aw)
+    gauge_ignored = case.vertical.gauge_ignored
+    net = w2v - w0v - gauge_ignored
     slots = free_slots(case, order=8, k=k, l=l)
     # higher-order slots correspond to the second-derivative data of the
     # theory, shifted one order by the polar coordinate on the normal space
     spin7_higher = [s for s in slots if s[1] >= 2]
     einstein_slots = None
-    theorem_vertical = {"A": 1, "C": 1, "D": 1, "E": 2, "F": 2,
-                        "G": None, "H": None}[case.id]
+    theorem_vertical = case.vertical.theorem
     if case.einstein is not None:
         einstein_slots = ([(label, o) for _, label, o in case.einstein.combo_slots]
                           + [(s.function, s.order) for s in case.einstein.coeff_slots])
@@ -127,16 +104,16 @@ def cross_check_free_params(case_id: str, k: int | None = None,
         "case": case.id,
         "k": aw.k,
         "l": aw.l,
-        "dim_W2v": entry["W2v"],
-        "dim_W0v": entry["W0v"],
-        "raw_vertical": entry["W2v"] - entry["W0v"],
-        "gauge_ignored": entry["gauge_ignored"],
+        "dim_W2v": w2v,
+        "dim_W0v": w0v,
+        "raw_vertical": w2v - w0v,
+        "gauge_ignored": gauge_ignored,
         "net_vertical": net,
         "spin7_slots": slots,
         "spin7_higher_count": len(spin7_higher),
         "einstein_slots": einstein_slots,
         "theorem_vertical": theorem_vertical,
-        "assumption_satisfied": _ASSUMPTION_OK[case.id],
+        "assumption_satisfied": theorem_vertical is not None,
         # every higher-order holonomy slot is an Einstein degree of freedom
         "subset_ok": len(spin7_higher) <= net,
     }
@@ -183,7 +160,7 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
     checks.append(CheckResult("free_slot_census", slots == expected,
                               {"found": slots, "expected": expected}))
 
-    if case.id in ("A", "B"):
+    if case.degenerate:
         fzero = sol.functions["f"].is_zero()
         checks.append(CheckResult("degenerate_f_vanishes", fzero,
                                   {"marker": "degenerate: f == 0"}))
@@ -204,13 +181,11 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
         "integration", traj.termination == "reached_t_end",
         {"termination": traj.termination, "samples": traj.stats["n_samples"]}))
 
-    wanted = ["einstein_lambda0"]
-    if case.id == "F":
-        wanted.append("mirror_bc")
-    if case.id == "G":
-        wanted.append("mirror_a12")
+    mirrors = [name for name, pair in integ.MIRRORS.items()
+               if pair in case.equal_pairs]
+    wanted = ["einstein_lambda0", *mirrors]
     su4 = None
-    if case.id == "C":
+    if case.orbit == "u12-z2":  # the SU(4) family lives at the quotient flag orbit
         p = {name: rat(v) for name, v in params.items()}
         su4 = p["a0"] ** 2 == p["b0"] ** 2 + p["c0"] ** 2
         if su4:
@@ -218,12 +193,9 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
     mon = integ.monitor_residuals(sysid, traj, wanted)
     ok = mon["einstein_lambda0"]["max"] < 1e-6
     checks.append(CheckResult("ricci_flat_monitor", ok, mon["einstein_lambda0"]))
-    if "mirror_bc" in mon:
-        checks.append(CheckResult("mirror_monitor", mon["mirror_bc"]["max"] < 1e-10,
-                                  mon["mirror_bc"]))
-    if "mirror_a12" in mon:
-        checks.append(CheckResult("mirror_monitor", mon["mirror_a12"]["max"] < 1e-10,
-                                  mon["mirror_a12"]))
+    for name in mirrors:
+        checks.append(CheckResult("mirror_monitor", mon[name]["max"] < 1e-10,
+                                  mon[name]))
     if "su4_constraint" in mon:
         checks.append(CheckResult(
             "su4_monitor",
@@ -231,7 +203,7 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
             and mon["su4_constraint"]["max_quadric"] < 1e-6,
             mon["su4_constraint"]))
 
-    if case.id in _VERTICAL_TABLE:
+    if case.vertical is not None:
         xrep = cross_check_free_params(case.id, k=k, l=l)
         checks.append(CheckResult(
             "free_param_cross_check",

@@ -1,19 +1,27 @@
 """Catalog of the eight singular-orbit initial value problems.
 
-Each case pins: which system applies, which functions vanish at t=0, the
-initial data the caller supplies, the first-derivative values forced by the
-collapsing-sphere geometry, the free higher-order slots, and the parity /
-mirror structure used by the smoothness checks.  The catalog is data; tests
-pin every entry.
+Each case pins: which system applies, the singular orbit, which functions
+vanish at t=0, the initial data the caller supplies and the values it
+forces on the other functions, the first derivatives forced by the
+collapsing-sphere geometry, the free higher-order slots, the parity /
+mirror structure used by the smoothness checks, and the vertical
+free-parameter counts.  The catalog is data: the solver and the
+verification ladder read these fields and never branch on a case id.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .exact import rat
-from .reptheory import AloffWallach
+from .reptheory import TORUS_ORBITS, AloffWallach, circle_normalization
 from .systems import SystemId
+
+Params = dict[str, Fraction]
+Values = dict[str, Fraction]
+
+_0 = Fraction(0)
 
 
 class ConstraintError(ValueError):
@@ -33,14 +41,16 @@ class MissingSlotValue(ConstraintError):
 
 @dataclass(frozen=True)
 class SlotSpec:
-    """A free coefficient: series coefficient (function, order) = scale * param."""
+    """A free coefficient: series coefficient (function, order) = scale(params) * param.
+
+    `scale` is None for the Einstein slots, which are realized through other
+    data rather than bound directly.
+    """
 
     param: str
     function: str
     order: int
-
-    def scale(self, case: "OrbitCase", params: dict[str, Fraction]) -> Fraction:
-        return case.slot_scale(self, params)
+    scale: Callable[[Params], Fraction] | None = None
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,23 @@ class EinsteinSpec:
 
     combo_slots: tuple[tuple[str, str, int], ...]  # (param, label, order)
     coeff_slots: tuple[SlotSpec, ...]
-    f1_default: str  # "2delta" | "12" | "0"
+    order1: Callable[[Params], Values]  # first derivatives of every function
+
+
+@dataclass(frozen=True)
+class VerticalCount:
+    """Vertical free-parameter count of the Einstein theory at the orbit.
+
+    The raw vertical freedom dim(W_2^v) - dim(W_0^v) counts equivariant
+    second-derivative data; `gauge_ignored` entries, which change the radial
+    coordinate or the radial-fiber mixing, are removed by the arclength and
+    diagonal gauge.  `theorem` is the third-order count of the Einstein
+    theory in the diagonal sector, or None where the theorem's assumption
+    fails and the Spin(7) comparison is reported, not asserted.
+    """
+
+    gauge_ignored: int
+    theorem: int | None
 
 
 @dataclass(frozen=True)
@@ -67,18 +93,30 @@ class OrbitCase:
     id: str
     long_id: str
     system_kind: str
+    orbit: str  # "u12" | "u12-z2" | "s5" | "cp2"
     fixed_kl: tuple[int, int] | None
     excluded_kl: tuple[tuple[int, int], ...]
     vanishing: frozenset[str]
     required_params: tuple[str, ...]
+    initial: Callable[[Params], Values]  # t=0 values outside `vanishing`
     slots: tuple[SlotSpec, ...]
     parity: dict[str, str]
     mirror: tuple[MirrorSpec, ...]
     einstein: EinsteinSpec | None
     holonomy: str
     description: str
-    seed_first_order: bool = False
-    equal_pairs: tuple[tuple[str, str], ...] = ()
+    # forced first derivatives where the order-by-order step is quadratic
+    first_order_seed: Callable[[AloffWallach, Params], Values] = lambda aw, p: {}
+    # |first derivative| at t=0 of the collapsing functions other than a
+    # flag-orbit circle fiber, whose constant comes from the orbit
+    collapse_rates: Callable[[AloffWallach], Values] = lambda aw: {}
+    vertical: VerticalCount | None = None
+    # f vanishes identically: the branch is not a smooth-collapse metric
+    degenerate: bool = False
+
+    def __reduce__(self):
+        # entries hold functions; a pickled case refers to its catalog entry
+        return get_case, (self.id,)
 
     # -- orbit / system ---------------------------------------------------------
 
@@ -95,12 +133,7 @@ class OrbitCase:
             raise ConstraintError(
                 f"(k, l) = ({k}, {l}) is excluded for case {self.id}"
             )
-        aw = AloffWallach(k, l)
-        if self.id in ("A", "B") and (k, l) == (1, 1):
-            raise ConstraintError("the (1, 1) flag case is case C")
-        if self.id == "E" and k + l == 0:
-            raise ConstraintError("case E needs k + l != 0")
-        return aw
+        return AloffWallach(k, l)
 
     def system(self, aw: AloffWallach) -> SystemId:
         return SystemId(self.system_kind, aw)
@@ -116,94 +149,48 @@ class OrbitCase:
                 raise ConstraintError(f"parameter {name!r} must be nonzero")
         return params
 
-    def initial_values(self, aw: AloffWallach, params: dict[str, Fraction]) -> dict[str, Fraction]:
+    def initial_values(self, aw: AloffWallach, params: dict[str, Fraction]) -> Values:
+        """Values at t=0; an optional <fn>0 parameter must match a forced value."""
         p = self.check_params(params)
-        get = p.get
-        if self.id in ("A", "B"):
-            vals = {"a": p["a0"], "b": p["b0"], "c": p["c0"], "f": Fraction(0)}
-        elif self.id == "C":
-            vals = {"a1": p["a0"], "a2": -p["a0"], "b": p["b0"], "c": p["c0"],
-                    "f": Fraction(0)}
-            self._check_opt(p, "a10", p["a0"])
-            self._check_opt(p, "a20", -p["a0"])
-        elif self.id == "D":
-            vals = {"a": Fraction(0), "b": p["b0"], "c": p["b0"], "f": p["f0"]}
-            self._check_opt(p, "c0", p["b0"])
-        elif self.id == "E":
-            vals = {"a": Fraction(0), "b": p["b0"], "c": p["b0"], "f": Fraction(0)}
-            self._check_opt(p, "c0", p["b0"])
-        elif self.id == "F":
-            vals = {"a1": Fraction(0), "a2": Fraction(0), "b": p["b0"], "c": p["b0"],
-                    "f": Fraction(0)}
-            self._check_opt(p, "c0", p["b0"])
-        elif self.id == "G":
-            vals = {"a1": p["a0"], "a2": p["a0"], "b": Fraction(0), "c": p["a0"],
-                    "f": Fraction(0)}
-            self._check_opt(p, "c0", p["a0"])
-            self._check_opt(p, "a10", p["a0"])
-            self._check_opt(p, "a20", p["a0"])
-        elif self.id == "H":
-            vals = {"a1": p["a0"], "a2": -p["a0"], "b": Fraction(0), "c": p["a0"],
-                    "f": Fraction(0)}
-            self._check_opt(p, "c0", p["a0"])
-            self._check_opt(p, "a10", p["a0"])
-            self._check_opt(p, "a20", -p["a0"])
-        else:  # pragma: no cover
-            raise AssertionError(self.id)
-        return vals
+        given = self.initial(p)
+        for fn, value in given.items():
+            name = f"{fn}0"
+            if name not in self.required_params and name in p and p[name] != value:
+                raise ConstraintError(
+                    f"case {self.id} forces {name} = {value}, got {p[name]}"
+                )
+        return {fn: given.get(fn, _0) for fn in self.system(aw).functions}
 
-    def _check_opt(self, params, name, expected):
-        if name in params and params[name] != expected:
-            raise ConstraintError(
-                f"case {self.id} forces {name} = {expected}, got {params[name]}"
-            )
+    def seeds(self, aw: AloffWallach, params: dict[str, Fraction]
+              ) -> dict[tuple[str, int], Fraction]:
+        """Seed coefficients {(function, order): value} of the holonomy solve."""
+        initial = self.initial_values(aw, params)
+        return _seed_table(initial, self.first_order_seed(aw, params))
 
-    def first_order_seed(self, aw: AloffWallach, params: dict[str, Fraction]) -> dict[str, Fraction]:
-        """Forced first derivatives where the order-by-order step is quadratic."""
-        if not self.seed_first_order:
-            return {}
-        p = params
-        if self.id == "D":
-            return {"a": Fraction(2), "b": -p["f0"] / (6 * p["b0"]),
-                    "c": p["f0"] / (6 * p["b0"]), "f": Fraction(0)}
-        if self.id == "E":
-            return {"a": Fraction(1), "b": Fraction(0), "c": Fraction(0),
-                    "f": Fraction(2 * aw.delta, aw.k + aw.l)}
-        if self.id == "F":
-            return {"a1": Fraction(1), "a2": Fraction(1), "b": Fraction(0),
-                    "c": Fraction(0), "f": Fraction(3)}
-        if self.id == "G":
-            return {"a1": Fraction(0), "a2": Fraction(0), "b": Fraction(1),
-                    "c": Fraction(0), "f": Fraction(-6)}
-        if self.id == "H":
-            return {"a1": Fraction(0), "a2": Fraction(0), "b": Fraction(1),
-                    "c": Fraction(0), "f": Fraction(6)}
-        raise AssertionError(self.id)  # pragma: no cover
+    def einstein_seeds(self, aw: AloffWallach, params: dict[str, Fraction]
+                       ) -> dict[tuple[str, int], Fraction]:
+        """Seed coefficients of the diagonal Einstein solve."""
+        initial = self.initial_values(aw, params)
+        return _seed_table(initial, self.einstein.order1(params))
 
-    def slot_scale(self, slot: SlotSpec, params: dict[str, Fraction]) -> Fraction:
-        if self.id == "E" and slot.param == "q":
-            return 1 / (6 * params["b0"] ** 2)
-        if self.id == "F":
-            return 1 / (6 * params["b0"] ** 2)
-        if self.id == "G":
-            return 1 / (6 * params["a0"] ** 2)
-        if self.id == "H":
-            return 1 / (2 * params["a0"])
-        raise AssertionError((self.id, slot))  # pragma: no cover
+    # -- smoothness data -----------------------------------------------------------
 
-    def normalization(self, aw: AloffWallach) -> dict[str, Fraction]:
+    @property
+    def equal_pairs(self) -> tuple[tuple[str, str], ...]:
+        """Functions equal identically: the mirrors without sign or t-reversal."""
+        return tuple((m.fn1, m.fn2) for m in self.mirror
+                     if m.sign == 1 and m.t_sign == 1)
+
+    def circle_rate(self, aw: AloffWallach) -> Fraction:
+        """|f'(0)| of the circle fiber collapsing at a flag orbit."""
+        return circle_normalization(aw, quotient_by_h=self.orbit == "u12-z2")
+
+    def normalization(self, aw: AloffWallach) -> Values:
         """|first derivative| at t=0 of each collapsing function."""
-        if self.id in ("A", "B"):
-            return {}
-        if self.id == "C":
-            return {"f": Fraction(12)}
-        if self.id == "D":
-            return {"a": Fraction(2)}
-        if self.id == "E":
-            return {"a": Fraction(1), "f": abs(Fraction(2 * aw.delta, aw.k + aw.l))}
-        if self.id == "F":
-            return {"a1": Fraction(1), "a2": Fraction(1), "f": Fraction(3)}
-        return {"b": Fraction(1), "f": Fraction(6)}
+        rates = dict(self.collapse_rates(aw))
+        if self.orbit in TORUS_ORBITS and not self.degenerate:
+            rates["f"] = self.circle_rate(aw)
+        return rates
 
     def to_json(self, aw: AloffWallach | None = None) -> dict:
         if aw is None and self.fixed_kl is not None:
@@ -228,6 +215,12 @@ class OrbitCase:
         return data
 
 
+def _seed_table(initial: Values, first: Values) -> dict[tuple[str, int], Fraction]:
+    seeds = {(fn, 0): v for fn, v in initial.items()}
+    seeds.update(((fn, 1), v) for fn, v in first.items())
+    return seeds
+
+
 CASES: dict[str, OrbitCase] = {}
 
 
@@ -236,131 +229,185 @@ def _register(case: OrbitCase) -> OrbitCase:
     return case
 
 
+def _flag_initial(p: Params) -> Values:
+    return {"a": p["a0"], "b": p["b0"], "c": p["c0"]}
+
+
+def _flag_order1(p: Params) -> Values:
+    return {"a": _0, "b": _0, "c": _0, "f": p["f1"]}
+
+
+def _quotient_flag_order1(p: Params) -> Values:
+    # the equations force a1'(0) = a2'(0); their common value is the free
+    # first-derivative datum (the pair difference in sign conventions where
+    # both fiber functions start at +a0)
+    s = p.get("asum1", _0)
+    return {"a1": s / 2, "a2": s / 2, "b": _0, "c": _0, "f": p["f1"]}
+
+
+def _sphere_order1(p: Params) -> Values:
+    diff = p.get("bdiff1", _0)
+    return {"a": Fraction(2), "b": diff / 2, "c": -diff / 2, "f": _0}
+
+
+def _inv_6b0sq(p: Params) -> Fraction:
+    return 1 / (6 * p["b0"] ** 2)
+
+
+_FLAG_EINSTEIN = EinsteinSpec(combo_slots=(), coeff_slots=(SlotSpec("f3", "f", 3),),
+                              order1=_flag_order1)
+
 _register(OrbitCase(
-    id="A", long_id="A_generic_flag", system_kind="S1",
+    id="A", long_id="A_generic_flag", system_kind="S1", orbit="u12",
     fixed_kl=None, excluded_kl=((1, 1),),
     vanishing=frozenset({"f"}),
     required_params=("a0", "b0", "c0"),
+    initial=_flag_initial,
     slots=(),
     # the degenerate branch is not a smooth-collapse metric: only the forced
     # f-parity is checkable (the even parities belong to the Einstein family)
     parity={"f": "odd"},
     mirror=(),
-    einstein=EinsteinSpec(combo_slots=(), coeff_slots=(SlotSpec("f3", "f", 3),),
-                          f1_default="2delta"),
+    einstein=_FLAG_EINSTEIN,
     holonomy="degenerate: f == 0 forces a product branch with holonomy in G2",
     description="flag singular orbit, generic principal orbit; the first-order "
                 "system forces f to vanish identically",
+    vertical=VerticalCount(gauge_ignored=1, theorem=1),
+    degenerate=True,
 ))
 
 _register(OrbitCase(
-    id="B", long_id="B_N10_flag", system_kind="S1",
+    id="B", long_id="B_N10_flag", system_kind="S1", orbit="u12",
     fixed_kl=(1, 0), excluded_kl=(),
     vanishing=frozenset({"f"}),
     required_params=("a0", "b0", "c0"),
+    initial=_flag_initial,
     slots=(),
     parity={"f": "odd"},
     mirror=(),
-    einstein=EinsteinSpec(combo_slots=(), coeff_slots=(SlotSpec("f3", "f", 3),),
-                          f1_default="2delta"),
+    einstein=_FLAG_EINSTEIN,
     holonomy="degenerate: f == 0 forces a product branch with holonomy in G2",
     description="flag singular orbit, (1,0) principal orbit (diagonal metrics)",
+    degenerate=True,
 ))
 
 _register(OrbitCase(
-    id="C", long_id="C_N11Z2_flag", system_kind="S2",
+    id="C", long_id="C_N11Z2_flag", system_kind="S2", orbit="u12-z2",
     fixed_kl=(1, 1), excluded_kl=(),
     vanishing=frozenset({"f"}),
     required_params=("a0", "b0", "c0"),
+    initial=lambda p: {"a1": p["a0"], "a2": -p["a0"], "b": p["b0"], "c": p["c0"]},
     slots=(),
     parity={"b": "even", "c": "even", "f": "odd"},
     mirror=(MirrorSpec("a1", "a2", sign=-1, t_sign=-1),),
     einstein=EinsteinSpec(
         combo_slots=(("asum1", "a1+a2", 1),),
         coeff_slots=(SlotSpec("f3", "f", 3),),
-        f1_default="12"),
+        order1=_quotient_flag_order1),
     holonomy="subgroup of Spin(7); SU(4) exactly on the family a0^2 = b0^2 + c0^2",
     description="flag singular orbit, order-two quotient of the (1,1) principal "
                 "orbit; unique solution from (a0, b0, c0)",
+    vertical=VerticalCount(gauge_ignored=1, theorem=1),
 ))
 
 _register(OrbitCase(
-    id="D", long_id="D_N1m1_S5", system_kind="S1",
+    id="D", long_id="D_N1m1_S5", system_kind="S1", orbit="s5",
     fixed_kl=(1, -1), excluded_kl=(),
     vanishing=frozenset({"a"}),
     required_params=("b0", "f0"),
+    initial=lambda p: {"b": p["b0"], "c": p["b0"], "f": p["f0"]},
     slots=(),
     parity={"a": "odd", "f": "even"},
     mirror=(MirrorSpec("b", "c", sign=1, t_sign=-1),),
     einstein=EinsteinSpec(
         combo_slots=(("bdiff1", "b-c", 1),),
         coeff_slots=(SlotSpec("a3", "a", 3),),
-        f1_default="0"),
+        order1=_sphere_order1),
     holonomy="Spin(7)",
     description="five-sphere singular orbit; a collapses with |a'(0)| = 2",
-    seed_first_order=True,
+    first_order_seed=lambda aw, p: {"a": Fraction(2), "b": -p["f0"] / (6 * p["b0"]),
+                                    "c": p["f0"] / (6 * p["b0"]), "f": _0},
+    collapse_rates=lambda aw: {"a": Fraction(2)},
+    vertical=VerticalCount(gauge_ignored=0, theorem=1),
 ))
 
 _register(OrbitCase(
-    id="E", long_id="E_generic_CP2", system_kind="S1",
-    fixed_kl=None, excluded_kl=((1, -1), (1, 1), (1, -2), (2, -1)),
+    id="E", long_id="E_generic_CP2", system_kind="S1", orbit="cp2",
+    # k + l = 0 leaves the forced f'(0) = 2 delta / (k + l) undefined
+    fixed_kl=None, excluded_kl=((1, -1), (-1, 1), (1, 1), (1, -2), (2, -1)),
     vanishing=frozenset({"a", "f"}),
     required_params=("b0",),
-    slots=(SlotSpec("q", "f", 3),),
+    initial=lambda p: {"b": p["b0"], "c": p["b0"]},
+    slots=(SlotSpec("q", "f", 3, scale=_inv_6b0sq),),
     parity={"a": "odd", "b": "even", "c": "even", "f": "odd"},
     mirror=(),
     einstein=None,
     holonomy="Spin(7)",
     description="complex projective plane singular orbit, generic principal "
                 "orbit; third-order parameter q with f'''(0) = q/b0^2",
-    seed_first_order=True,
+    first_order_seed=lambda aw, p: {"a": Fraction(1), "b": _0, "c": _0,
+                                    "f": Fraction(2 * aw.delta, aw.k + aw.l)},
+    collapse_rates=lambda aw: {"a": Fraction(1),
+                               "f": abs(Fraction(2 * aw.delta, aw.k + aw.l))},
+    vertical=VerticalCount(gauge_ignored=1, theorem=2),
 ))
 
 _register(OrbitCase(
-    id="F", long_id="F_N11_CP2_aa", system_kind="S2",
+    id="F", long_id="F_N11_CP2_aa", system_kind="S2", orbit="cp2",
     fixed_kl=(1, 1), excluded_kl=(),
     vanishing=frozenset({"a1", "a2", "f"}),
     required_params=("b0",),
-    slots=(SlotSpec("q1", "a1", 3), SlotSpec("q2", "a2", 3)),
+    initial=lambda p: {"b": p["b0"], "c": p["b0"]},
+    slots=(SlotSpec("q1", "a1", 3, scale=_inv_6b0sq),
+           SlotSpec("q2", "a2", 3, scale=_inv_6b0sq)),
     parity={"a1": "odd", "a2": "odd", "b": "even", "c": "even", "f": "odd"},
     mirror=(MirrorSpec("b", "c", sign=1, t_sign=1),),
     einstein=None,
     holonomy="subgroup of Spin(7)",
     description="complex projective plane singular orbit with a1, a2, f "
                 "collapsing; b = c holds identically",
-    seed_first_order=True,
-    equal_pairs=(("b", "c"),),
+    first_order_seed=lambda aw, p: {"a1": Fraction(1), "a2": Fraction(1), "b": _0,
+                                    "c": _0, "f": Fraction(3)},
+    collapse_rates=lambda aw: {"a1": Fraction(1), "a2": Fraction(1), "f": Fraction(3)},
+    vertical=VerticalCount(gauge_ignored=1, theorem=2),
 ))
 
 _register(OrbitCase(
-    id="G", long_id="G_N11_CP2_bplus", system_kind="S2",
+    id="G", long_id="G_N11_CP2_bplus", system_kind="S2", orbit="cp2",
     fixed_kl=(1, 1), excluded_kl=(),
     vanishing=frozenset({"b", "f"}),
     required_params=("a0",),
-    slots=(SlotSpec("q", "b", 3),),
+    initial=lambda p: {"a1": p["a0"], "a2": p["a0"], "c": p["a0"]},
+    slots=(SlotSpec("q", "b", 3, scale=lambda p: 1 / (6 * p["a0"] ** 2)),),
     parity={"a1": "even", "a2": "even", "b": "odd", "c": "even", "f": "odd"},
     mirror=(MirrorSpec("a1", "a2", sign=1, t_sign=1),),
     einstein=None,
     holonomy="subgroup of Spin(7)",
     description="complex projective plane singular orbit with b, f collapsing "
                 "and a1(0) = a2(0); a1 = a2 holds identically",
-    seed_first_order=True,
-    equal_pairs=(("a1", "a2"),),
+    first_order_seed=lambda aw, p: {"a1": _0, "a2": _0, "b": Fraction(1), "c": _0,
+                                    "f": Fraction(-6)},
+    collapse_rates=lambda aw: {"b": Fraction(1), "f": Fraction(6)},
+    vertical=VerticalCount(gauge_ignored=1, theorem=None),
 ))
 
 _register(OrbitCase(
-    id="H", long_id="H_N11_CP2_bminus", system_kind="S2",
+    id="H", long_id="H_N11_CP2_bminus", system_kind="S2", orbit="cp2",
     fixed_kl=(1, 1), excluded_kl=(),
     vanishing=frozenset({"b", "f"}),
     required_params=("a0",),
-    slots=(SlotSpec("q", "c", 2),),
+    initial=lambda p: {"a1": p["a0"], "a2": -p["a0"], "c": p["a0"]},
+    slots=(SlotSpec("q", "c", 2, scale=lambda p: 1 / (2 * p["a0"])),),
     parity={"a1": "even", "a2": "even", "b": "odd", "c": "even", "f": "odd"},
     mirror=(),
     einstein=None,
     holonomy="subgroup of Spin(7)",
     description="complex projective plane singular orbit with b, f collapsing "
                 "and a1(0) = -a2(0); second-order parameter c''(0) = q/a0",
-    seed_first_order=True,
+    first_order_seed=lambda aw, p: {"a1": _0, "a2": _0, "b": Fraction(1), "c": _0,
+                                    "f": Fraction(6)},
+    collapse_rates=lambda aw: {"b": Fraction(1), "f": Fraction(6)},
+    vertical=VerticalCount(gauge_ignored=1, theorem=None),
 ))
 
 

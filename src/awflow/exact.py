@@ -177,15 +177,3 @@ class TruncSeries:
     def from_json(cls, data) -> "TruncSeries":
         return cls([rat(str(c)) for c in data])
 
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated to the smaller operand order."""
-    return a * b
-
-
-def series_derivative(a: TruncSeries) -> TruncSeries:
-    return a.derivative()
-
-
-def series_eval_float(a: TruncSeries, t: float) -> tuple[float, float]:
-    return a.eval_float(t)

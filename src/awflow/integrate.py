@@ -34,9 +34,6 @@ class Trajectory:
     def functions(self) -> tuple[str, ...]:
         return self.system.functions
 
-    def state(self, i: int) -> State:
-        return State(dict(zip(self.functions, self.y[i])), t=float(self.t[i]))
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -84,7 +81,8 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
     fns = sys.functions
 
     def rhs(t, y):
-        return [rhs_first_order(sys, State(dict(zip(fns, y)), t=t))[fn] for fn in fns]
+        d = rhs_first_order(sys, State(dict(zip(fns, y)), t=t))
+        return [d[fn] for fn in fns]
 
     events = []
     for i, fn in enumerate(fns):
@@ -166,9 +164,8 @@ def first_order_defect(sys: SystemId, traj: Trajectory) -> float:
         d0, d1 = traj.d[i], traj.d[i + 1]
         ym = 0.5 * (y0 + y1) + 0.125 * h * (d0 - d1)
         dm = 1.5 * (y1 - y0) / h - 0.25 * (d0 + d1)
-        rhs_m = np.array([
-            rhs_first_order(sys, State(dict(zip(fns, ym))))[fn] for fn in fns
-        ])
+        d = rhs_first_order(sys, State(dict(zip(fns, ym))))
+        rhs_m = np.array([d[fn] for fn in fns])
         worst = max(worst, float(np.max(np.abs(dm - rhs_m))))
     return worst
 
@@ -206,7 +203,9 @@ def einstein_residual_at(sys: SystemId, values: dict[str, float],
     return residual_einstein(sysf.einstein(), State(dict(values)), d1, d2, lam)
 
 
-CHECKS = ("einstein_lambda0", "su4_constraint", "mirror_bc", "mirror_a12")
+#: Mirror monitors and the pair of functions each one compares.
+MIRRORS = {"mirror_bc": ("b", "c"), "mirror_a12": ("a1", "a2")}
+CHECKS = ("einstein_lambda0", "su4_constraint", *MIRRORS)
 
 
 def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
@@ -228,10 +227,9 @@ def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
             elif check == "su4_constraint":
                 v = max(abs(values["a1"] + values["a2"]),
                         abs(values["a1"] ** 2 - values["b"] ** 2 - values["c"] ** 2))
-            elif check == "mirror_bc":
-                v = abs(values["b"] - values["c"])
             else:
-                v = abs(values["a1"] - values["a2"])
+                fn1, fn2 = MIRRORS[check]
+                v = abs(values[fn1] - values[fn2])
             vals.append(v)
         vals = np.array(vals)
         per_sample = np.maximum(per_sample, vals)
@@ -261,8 +259,8 @@ def transform_trajectory(smap, traj: Trajectory) -> Trajectory:
         t = t[::-1]
         y = y[::-1]
     for i in range(len(t)):
-        values = dict(zip(fns, y[i]))
-        d[i] = [rhs_first_order(traj.system, State(values))[fn] for fn in fns]
+        di = rhs_first_order(traj.system, State(dict(zip(fns, y[i]))))
+        d[i] = [di[fn] for fn in fns]
     return Trajectory(system=traj.system, t=t, y=y, d=d,
                       termination=traj.termination,
                       stats={"transformed_by": smap.name})

@@ -19,9 +19,6 @@ class Term:
     factors: tuple[tuple[str, int], ...]  # (function, derivative order)
     lam: int = 0  # power of the Einstein constant
 
-    def degree(self) -> int:
-        return len(self.factors)
-
 
 @dataclass(frozen=True)
 class PolyIdentity:

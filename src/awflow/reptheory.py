@@ -30,11 +30,6 @@ class AloffWallach:
     def delta(self) -> int:
         return self.k * self.k + self.k * self.l + self.l * self.l
 
-    def is_exceptional(self) -> bool:
-        """True for the two orbit types with extra equivalent submodules."""
-        triple = sorted((self.k, self.l, -self.k - self.l))
-        return triple in ([-1, 0, 1], [-2, 1, 1], [-1, -1, 2])
-
     def __str__(self):
         return f"N^{{{self.k},{self.l}}}"
 
@@ -237,28 +232,39 @@ def dim_W_s5(m: int, part: str) -> int:
 # -- first return times and collapsing-circle normalization ---------------------
 
 
+def _bezout(k: int, l: int) -> tuple[int, int]:
+    """(x, y) with x*k + y*l = 1, for coprime k and l."""
+    r0, r1, x0, x1 = k, l, 1, 0
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1 = r1, r0 - q * r1, x1, x0 - q * x1
+    # r0 = +-1 and x0*k = r0 (mod l)
+    x = x0 * r0
+    return x, ((1 - x * k) // l if l else 0)
+
+
 def first_return_time(aw: AloffWallach, quotient_by_h: bool = False) -> Fraction:
     """Smallest t > 0 with exp(t e7) in the isotropy group, as a multiple of pi.
 
     With quotient_by_h the isotropy group is enlarged by the order-two element
-    diag(i, -i, 1); returns r such that t = r * pi.  Brute-force search over
-    the finite congruence lattice.
+    diag(i, -i, 1); returns r such that t = r * pi.  Candidates u = t/(2 pi)
+    run over the lattice fixed by the commensurability condition; each is
+    tested exactly for a torus angle v that makes every phase integral.
     """
     k, l = aw.k, aw.l
     delta = aw.delta
-    v_den = 24 * delta * (abs(k) + abs(l) + 1)
+    x, y = _bezout(k, l)
     eps_branch = (0, 1) if quotient_by_h else (0,)
 
     def admissible(u: Fraction, eps: int) -> bool:
+        # the phases (2l+k)u - kv - e, -(2k+l)u - lv + e and (k-l)u + (k+l)v
+        # sum to zero, so kv = A and lv = B (mod 1) decide; as gcd(k, l) = 1
+        # their only solution mod 1, if any, is v = xA + yB
         e = Fraction(eps, 4)
-        for j in range(v_den):
-            v = Fraction(j, v_den)
-            c1 = (2 * l + k) * u - k * v - e
-            c2 = -(2 * k + l) * u - l * v + e
-            c3 = (k - l) * u + (k + l) * v
-            if c1.denominator == 1 and c2.denominator == 1 and c3.denominator == 1:
-                return True
-        return False
+        a = (2 * l + k) * u - e
+        b = e - (2 * k + l) * u
+        v = x * a + y * b
+        return (k * v - a).denominator == 1 and (l * v - b).denominator == 1
 
     best: Fraction | None = None
     for eps in eps_branch:

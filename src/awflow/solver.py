@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cases import (CASES, ConstraintError, EinsteinSpec, MissingSlotValue,
-                    OrbitCase, get_case)
+from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
 from .exact import TruncSeries, rat, rat_str
 from .polyident import PolyIdentity, polynomialize
 from .reptheory import AloffWallach
@@ -465,12 +464,7 @@ def solve_series(case: OrbitCase | str, params: dict, order: int = 20,
         )
     aw = case.resolve_aw(k, l)
     init_params, slot_params = _split_params(case, params)
-    initials = case.initial_values(aw, init_params)
-    seeds: dict[tuple[str, int], Fraction] = {
-        (fn, 0): v for fn, v in initials.items()
-    }
-    for fn, v in case.first_order_seed(aw, init_params).items():
-        seeds[(fn, 1)] = v
+    seeds = case.seeds(aw, init_params)
     by_coeff = {(s.function, s.order): s for s in case.slots}
 
     def binder(fn: str, o: int) -> Fraction:
@@ -481,7 +475,7 @@ def solve_series(case: OrbitCase | str, params: dict, order: int = 20,
             )
         if spec.param not in slot_params:
             raise MissingSlotValue(fn, o, spec.param)
-        return slot_params[spec.param] * case.slot_scale(spec, init_params)
+        return slot_params[spec.param] * spec.scale(init_params)
 
     sysid = case.system(aw)
     stream = _Stream(polynomialize(sysid), sysid.functions, order, d=1,
@@ -513,10 +507,7 @@ def free_slots(case: OrbitCase | str, order: int = 8, params: dict | None = None
     if params is None:
         params = {name: Fraction(i + 2) for i, name in enumerate(case.required_params)}
     init_params, _ = _split_params(case, params)
-    initials = case.initial_values(aw, init_params)
-    seeds = {(fn, 0): v for fn, v in initials.items()}
-    for fn, v in case.first_order_seed(aw, init_params).items():
-        seeds[(fn, 1)] = v
+    seeds = case.seeds(aw, init_params)
     found: list[tuple[str, int]] = []
 
     def binder(fn: str, o: int) -> Fraction:
@@ -559,12 +550,12 @@ def einstein_series(case: OrbitCase | str, params: dict, lam, order: int = 10,
     coeff_names = {s.param for s in spec.coeff_slots}
     extra = {"f1", "a3"} | combo_names | coeff_names
     init_params = {key: v for key, v in params.items() if key not in extra}
-    if case.id == "D":
-        return _einstein_sphere(case, spec, aw, params, init_params, lam, order)
+    if case.orbit == "s5":
+        return _einstein_sphere(case, spec, aw, params, lam, order)
     return _einstein_flag(case, spec, aw, params, init_params, lam, order)
 
 
-def _einstein_sphere(case, spec, aw, params, init_params, lam, order):
+def _einstein_sphere(case, spec, aw, params, lam, order):
     """Five-sphere Einstein solve.
 
     In the diagonal arclength gauge the recursion determines a'''(0) from
@@ -572,7 +563,7 @@ def _einstein_sphere(case, spec, aw, params, init_params, lam, order):
     general theory lives in the non-diagonal sector, which this artifact
     counts but does not solve.  A supplied a3 is checked, not consumed.
     """
-    sol = _einstein_run(case, spec, aw, params, init_params, lam, order)
+    sol = _einstein_run(case, spec, aw, params, lam, order)
     realized = 6 * sol.functions["a"].coef[3]
     if "a3" in params and params["a3"] != realized:
         raise ConstraintError(
@@ -591,7 +582,7 @@ def _einstein_flag(case, spec, aw, params, init_params, lam, order):
     if "f1" in params:
         if params["f1"] == 0:
             return _einstein_degenerate(case, init_params, params, lam, order, aw)
-        return _einstein_run(case, spec, aw, params, init_params, lam, order)
+        return _einstein_run(case, spec, aw, params, lam, order)
     if fslot.param not in params:
         raise MissingSlotValue(fslot.function, fslot.order, fslot.param)
     f3 = params[fslot.param]
@@ -606,9 +597,9 @@ def _einstein_flag(case, spec, aw, params, init_params, lam, order):
         )
     # reference pass: f'''(0) is proportional to the cone datum f'(0)
     ref = dict(params)
-    ref["f1"] = _f1_default(spec, aw)
+    ref["f1"] = case.circle_rate(aw)
     ref.pop(fslot.param, None)
-    refsol = _einstein_run(case, spec, aw, ref, init_params, lam, order)
+    refsol = _einstein_run(case, spec, aw, ref, lam, order)
     slope = 6 * refsol.functions["f"].coef[3] / ref["f1"]
     if slope == 0:
         raise ConstraintError(
@@ -616,7 +607,7 @@ def _einstein_flag(case, spec, aw, params, init_params, lam, order):
         )
     final = dict(params)
     final["f1"] = f3 / slope
-    sol = _einstein_run(case, spec, aw, final, init_params, lam, order)
+    sol = _einstein_run(case, spec, aw, final, lam, order)
     if 6 * sol.functions["f"].coef[3] != f3:  # pragma: no cover
         raise InconsistentSystem("cone-datum calibration failed")
     sol.bound_params = dict(params)
@@ -625,14 +616,8 @@ def _einstein_flag(case, spec, aw, params, init_params, lam, order):
     return sol
 
 
-def _f1_default(spec, aw) -> Fraction:
-    return Fraction(2 * aw.delta) if spec.f1_default == "2delta" else Fraction(12)
-
-
-def _einstein_run(case, spec, aw, params, init_params, lam, order):
-    initials = case.initial_values(aw, init_params)
-    seeds: dict[tuple[str, int], Fraction] = {(fn, 0): v for fn, v in initials.items()}
-    seeds.update(_einstein_order1(case, spec, aw, params))
+def _einstein_run(case, spec, aw, params, lam, order):
+    seeds = case.einstein_seeds(aw, params)
 
     def binder(fn: str, o: int) -> Fraction:
         raise InconsistentSystem(
@@ -662,9 +647,9 @@ def _einstein_degenerate(case: OrbitCase, init_params: dict, params: dict,
     first-order flag branch; the combined series satisfies every cleared
     Einstein identity exactly (checked), but only lambda = 0 is meaningful.
     """
-    if case.id not in ("A", "B"):
+    if not case.degenerate:
         raise ConstraintError(
-            "the f'(0) = 0 degeneration is cataloged for cases A and B only"
+            f"the f'(0) = 0 degeneration is not cataloged for case {case.id}"
         )
     if lam != 0:
         raise ConstraintError(
@@ -680,28 +665,6 @@ def _einstein_degenerate(case: OrbitCase, init_params: dict, params: dict,
     if not sol.verify_exact():  # pragma: no cover - trivially zero residuals
         raise InconsistentSystem("degenerate branch failed the Einstein identities")
     return sol
-
-
-def _einstein_order1(case: OrbitCase, spec: EinsteinSpec, aw: AloffWallach,
-                     params: dict[str, Fraction]) -> dict[tuple[str, int], Fraction]:
-    """First-derivative data: normalization constants plus declared order-1 slots."""
-    if case.id in ("A", "B"):
-        f1 = params.get("f1", Fraction(2 * aw.delta))
-        return {("a", 1): Fraction(0), ("b", 1): Fraction(0),
-                ("c", 1): Fraction(0), ("f", 1): f1}
-    if case.id == "C":
-        # the equations force a1'(0) = a2'(0); their common value is the free
-        # first-derivative datum (the pair difference in sign conventions
-        # where both fiber functions start at +a0)
-        s = params.get("asum1", Fraction(0))
-        f1 = params.get("f1", Fraction(12))
-        return {("a1", 1): s / 2, ("a2", 1): s / 2,
-                ("b", 1): Fraction(0), ("c", 1): Fraction(0), ("f", 1): f1}
-    if case.id == "D":
-        diff = params.get("bdiff1", Fraction(0))
-        return {("a", 1): Fraction(2), ("b", 1): diff / 2,
-                ("c", 1): -diff / 2, ("f", 1): Fraction(0)}
-    raise AssertionError(case.id)  # pragma: no cover
 
 
 # -- smoothness ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ derivatives as explicit inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .reptheory import AloffWallach
 
@@ -59,9 +59,6 @@ class SystemId:
 class State:
     values: dict[str, float]
     t: float = 0.0
-
-    def vector(self, functions) -> list[float]:
-        return [self.values[fn] for fn in functions]
 
 
 def _require_nonzero(values: dict[str, float], names) -> None:
@@ -184,12 +181,6 @@ class SymmetryMap:
     source: tuple[tuple[str, str], ...]  # (new function, old function) pairs
     signs: tuple[tuple[str, int], ...]
     t_sign: int = -1
-
-    def source_of(self, fn: str) -> str:
-        return dict(self.source)[fn]
-
-    def sign_of(self, fn: str) -> int:
-        return dict(self.signs)[fn]
 
     def apply_to_values(self, values: dict[str, float]) -> dict[str, float]:
         src = dict(self.source)

@@ -175,3 +175,47 @@ class TestFirstReturn:
         aw = AloffWallach(*kl)
         assert first_return_time(aw) == Fraction(1, aw.delta)
         assert circle_normalization(aw) == 2 * aw.delta
+
+
+#: first_return_time(aw) and first_return_time(aw, quotient_by_h=True) for every
+#: coprime (k, l) with |k|, |l| <= 5, as multiples of pi.
+RETURN_TIMES = {
+    (-5, -4): ("1/61", "3/244"), (-5, -3): ("1/49", "1/49"),
+    (-5, -2): ("1/39", "1/156"), (-5, -1): ("1/31", "1/62"),
+    (-5, 1): ("1/21", "1/21"), (-5, 2): ("1/19", "1/76"), (-5, 3): ("1/19", "1/38"),
+    (-5, 4): ("1/21", "1/28"), (-4, -5): ("1/61", "3/244"),
+    (-4, -3): ("1/37", "1/148"), (-4, -1): ("1/21", "1/28"),
+    (-4, 1): ("1/13", "1/52"), (-4, 3): ("1/13", "3/52"), (-4, 5): ("1/21", "1/84"),
+    (-3, -5): ("1/49", "1/49"), (-3, -4): ("1/37", "1/148"),
+    (-3, -2): ("1/19", "3/76"), (-3, -1): ("1/13", "1/13"),
+    (-3, 1): ("1/7", "1/14"), (-3, 2): ("1/7", "3/28"), (-3, 4): ("1/13", "1/52"),
+    (-3, 5): ("1/19", "1/38"), (-2, -5): ("1/39", "1/156"),
+    (-2, -3): ("1/19", "3/76"), (-2, -1): ("1/7", "1/28"), (-2, 1): ("1/3", "1/4"),
+    (-2, 3): ("1/7", "1/28"), (-2, 5): ("1/19", "3/76"), (-1, -5): ("1/31", "1/62"),
+    (-1, -4): ("1/21", "1/28"), (-1, -3): ("1/13", "1/13"),
+    (-1, -2): ("1/7", "1/28"), (-1, -1): ("1/3", "1/6"), (-1, 0): ("1", "3/4"),
+    (-1, 1): ("1", "1"), (-1, 2): ("1/3", "1/12"), (-1, 3): ("1/7", "1/14"),
+    (-1, 4): ("1/13", "3/52"), (-1, 5): ("1/21", "1/21"), (0, -1): ("1", "3/4"),
+    (0, 1): ("1", "1/4"), (1, -5): ("1/21", "1/21"), (1, -4): ("1/13", "1/52"),
+    (1, -3): ("1/7", "1/14"), (1, -2): ("1/3", "1/4"), (1, -1): ("1", "1"),
+    (1, 0): ("1", "1/4"), (1, 1): ("1/3", "1/6"), (1, 2): ("1/7", "3/28"),
+    (1, 3): ("1/13", "1/13"), (1, 4): ("1/21", "1/21"), (1, 5): ("1/31", "1/31"),
+    (2, -5): ("1/19", "1/76"), (2, -3): ("1/7", "3/28"), (2, -1): ("1/3", "1/12"),
+    (2, 1): ("1/7", "3/28"), (2, 3): ("1/19", "1/19"), (2, 5): ("1/39", "1/39"),
+    (3, -5): ("1/19", "1/38"), (3, -4): ("1/13", "3/52"), (3, -2): ("1/7", "1/28"),
+    (3, -1): ("1/7", "1/14"), (3, 1): ("1/13", "1/13"), (3, 2): ("1/19", "1/19"),
+    (3, 4): ("1/37", "1/37"), (3, 5): ("1/49", "1/49"), (4, -5): ("1/21", "1/28"),
+    (4, -3): ("1/13", "1/52"), (4, -1): ("1/13", "3/52"), (4, 1): ("1/21", "1/21"),
+    (4, 3): ("1/37", "1/37"), (4, 5): ("1/61", "1/61"), (5, -4): ("1/21", "1/84"),
+    (5, -3): ("1/19", "1/38"), (5, -2): ("1/19", "3/76"), (5, -1): ("1/21", "1/21"),
+    (5, 1): ("1/31", "1/31"), (5, 2): ("1/39", "1/39"), (5, 3): ("1/49", "1/49"),
+    (5, 4): ("1/61", "1/61"),
+}
+
+
+@pytest.mark.parametrize("kl", sorted(RETURN_TIMES))
+def test_first_return_time_pinned(kl):
+    aw = AloffWallach(*kl)
+    plain, quotient = RETURN_TIMES[kl]
+    assert first_return_time(aw) == Fraction(plain)
+    assert first_return_time(aw, quotient_by_h=True) == Fraction(quotient)
