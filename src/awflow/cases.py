@@ -129,7 +129,8 @@ class OrbitCase:
             return AloffWallach(*self.fixed_kl)
         if k is None or l is None:
             raise ConstraintError(f"case {self.id} needs --k and --l")
-        if (k, l) in self.excluded_kl:
+        # N^{k,l} and N^{-k,-l} are the same orbit
+        if (k, l) in self.excluded_kl or (-k, -l) in self.excluded_kl:
             raise ConstraintError(
                 f"(k, l) = ({k}, {l}) is excluded for case {self.id}"
             )
@@ -334,7 +335,7 @@ _register(OrbitCase(
 _register(OrbitCase(
     id="E", long_id="E_generic_CP2", system_kind="S1", orbit="cp2",
     # k + l = 0 leaves the forced f'(0) = 2 delta / (k + l) undefined
-    fixed_kl=None, excluded_kl=((1, -1), (-1, 1), (1, 1), (1, -2), (2, -1)),
+    fixed_kl=None, excluded_kl=((1, -1), (1, 1), (1, -2), (2, -1)),
     vanishing=frozenset({"a", "f"}),
     required_params=("b0",),
     initial=lambda p: {"b": p["b0"], "c": p["b0"]},

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
 from .exact import TruncSeries, rat, rat_str
@@ -134,6 +135,31 @@ class _Pend:
     step: int  # step at which the unknown was introduced
 
 
+_ZERO = Fraction(0)
+
+
+def _settled(poly: P) -> Fraction | P:
+    """A polynomial without pendings is kept as its plain Fraction value."""
+    return poly.value if poly.is_const else poly
+
+
+def _subst(value: Fraction | P, env: dict[int, P]) -> Fraction | P:
+    """Replace resolved pendings in a settled value or a live polynomial."""
+    if type(value) is Fraction:
+        return value
+    new = value.subst(env)
+    return value if new is value else _settled(new)
+
+
+def _times(x: Fraction | P, y: Fraction | P) -> P:
+    """Product of two values at least one of which holds a live pending."""
+    if type(x) is Fraction:
+        return y.scaled(x)
+    if type(y) is Fraction:
+        return x.scaled(y)
+    return x * y
+
+
 class _Stream:
     """Streaming staircase: row j of every identity is processed at step j.
 
@@ -141,6 +167,10 @@ class _Stream:
     rows of higher degree wait (later eliminations and slot bindings
     linearize them).  A pending that outlives its determination window by
     `lag` steps is a free slot and consumes a value from the binder.
+
+    Coefficients, prefix products and rows are plain Fractions once they
+    settle; a `P` is kept only for a value that still holds a live pending,
+    so Cauchy sums over settled pairs are Fraction arithmetic.
     """
 
     def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
@@ -153,14 +183,13 @@ class _Stream:
         self.lag = lag
         self.target = target_order
         self.internal = target_order + d + lag
-        self.lam = lam
         self.slot_binder = slot_binder
         self.avoid_pivot = avoid_pivot
-        self.coeffs: dict[str, list[P | None]] = {
+        self.coeffs: dict[str, list[Fraction | P | None]] = {
             fn: [None] * (self.internal + 1) for fn in functions
         }
         for (fn, o), v in seeds.items():
-            self.coeffs[fn][o] = P.const(v)
+            self.coeffs[fn][o] = Fraction(v)
         self.env: dict[int, P] = {}
         self.live: dict[int, _Pend] = {}
         self._next_pid = 0
@@ -168,21 +197,29 @@ class _Stream:
         self.free_slots_found: list[tuple[str, int]] = []
         # anchor prefix products at zero: vanishing-at-0 functions first
         vanishing = {fn for fn in functions if seeds.get((fn, 0), None) == 0}
-        self._term_factors = [
-            [
-                tuple(sorted(
-                    term.factors,
-                    key=lambda f: (0 if (f[1] == 0 and f[0] in vanishing) else 1,
-                                   f[0], f[1]),
-                ))
-                for term in ident.terms
-            ]
-            for ident in self.identities
-        ]
-        self._caches = [
-            [[[] for _ in range(len(term.factors))] for term in ident.terms]
-            for ident in self.identities
-        ]
+
+        def anchor(f):
+            return (0 if (f[1] == 0 and f[0] in vanishing) else 1, f[0], f[1])
+
+        # one prefix-product cache per distinct factor prefix, shared by every
+        # term of every identity; single factors cache the derivative series
+        self._prefixes: dict[tuple[tuple[str, int], ...], list] = {}
+        self._terms: list[list[tuple[Fraction, tuple[tuple[str, int], ...]]]] = []
+        for ident in identities:
+            terms = []
+            for term in ident.terms:
+                factors = tuple(sorted(term.factors, key=anchor))
+                for n, f in enumerate(factors):
+                    self._prefixes.setdefault(factors[:n + 1], [])
+                    self._prefixes.setdefault((f,), [])
+                coeff = term.coeff
+                if term.lam:
+                    if lam is None:
+                        raise ValueError(
+                            "identity carries the Einstein constant; pass lambda")
+                    coeff = coeff * lam ** term.lam
+                terms.append((coeff, factors))
+            self._terms.append(terms)
 
     # ---- coefficient bookkeeping
 
@@ -197,61 +234,87 @@ class _Stream:
                 fresh.append(f"{fn}[{order}]")
         return fresh
 
-    def _coef(self, fn: str, order: int) -> P:
-        poly = self.coeffs[fn][order]
-        if poly is None:  # pragma: no cover - guarded by the staircase layout
+    def _coef(self, fn: str, order: int) -> Fraction | P:
+        value = self.coeffs[fn][order]
+        if value is None:  # pragma: no cover - guarded by the staircase layout
             raise AssertionError(f"coefficient {fn}[{order}] read before introduction")
-        new = poly.subst(self.env)
-        if new is not poly:
-            self.coeffs[fn][order] = new
-        return new
+        value = self.coeffs[fn][order] = _subst(value, self.env)
+        return value
 
-    def _factor_coef(self, fn: str, dord: int, u: int) -> P:
-        o = u + dord
-        poly = self._coef(fn, o)
+    def _factor_coef(self, fn: str, dord: int, u: int) -> Fraction | P:
+        value = self._coef(fn, u + dord)
         if dord == 0:
-            return poly
+            return value
         mult = 1
         for i in range(dord):
             mult *= (u + 1 + i)
-        return poly.scaled(mult)
+        return value * mult if type(value) is Fraction else value.scaled(mult)
 
-    # ---- identity coefficient via cached prefix products
+    # ---- identity coefficient via shared prefix products
 
-    def _term_coef(self, ident_idx: int, term_idx: int, j: int) -> P:
-        term = self.identities[ident_idx].terms[term_idx]
-        factors = self._term_factors[ident_idx][term_idx]
-        cache = self._caches[ident_idx][term_idx]
-        for jj in range(len(cache[0]), j + 1):
-            fn, dord = factors[0]
-            cache[0].append(self._factor_coef(fn, dord, jj))
-        for level in range(1, len(factors)):
-            fn, dord = factors[level]
-            prev = cache[level - 1]
-            cur = cache[level]
-            for jj in range(len(cur), j + 1):
-                acc = P()
-                for u in range(jj + 1):
-                    left = prev[u].subst(self.env)
-                    prev[u] = left
-                    if not left.mon:
-                        continue
-                    acc = acc + left * self._factor_coef(fn, dord, jj - u)
-                cur.append(acc)
-        entry = cache[-1][j].subst(self.env)
-        cache[-1][j] = entry
-        coeff = term.coeff
-        if term.lam:
-            if self.lam is None:
-                raise ValueError("identity carries the Einstein constant; pass lambda")
-            coeff = coeff * self.lam ** term.lam
-        return entry.scaled(coeff)
+    def _product(self, key: tuple[tuple[str, int], ...], j: int) -> Fraction | P:
+        """Coefficient j of the product of the factors in `key`."""
+        cache = self._prefixes[key]
+        if len(key) == 1:
+            for jj in range(len(cache), j + 1):
+                cache.append(self._factor_coef(*key[0], jj))
+        else:
+            head, last = key[:-1], key[-1:]
+            for jj in range(len(cache), j + 1):
+                self._product(head, jj)
+                self._product(last, jj)
+                cache.append(self._cauchy(self._prefixes[head],
+                                          self._prefixes[last], jj))
+        value = cache[j]
+        if type(value) is not Fraction:
+            value = cache[j] = _subst(value, self.env)
+        return value
 
-    def _row(self, ident_idx: int, j: int) -> P:
-        acc = P()
-        for term_idx in range(len(self.identities[ident_idx].terms)):
-            acc = acc + self._term_coef(ident_idx, term_idx, j)
-        return acc
+    def _cauchy(self, left: list, right: list, j: int) -> Fraction | P:
+        """Coefficient j of the product of two cached series."""
+        env = self.env
+        num, den = 0, 1
+        poly = None
+        for u in range(j + 1):
+            a = left[u]
+            if type(a) is not Fraction:
+                a = left[u] = _subst(a, env)
+            if not a:
+                continue
+            b = right[j - u]
+            if type(b) is not Fraction:
+                b = right[j - u] = _subst(b, env)
+            if not b:
+                continue
+            if type(a) is Fraction and type(b) is Fraction:
+                # settled pairs sum over a common denominator, reduced once
+                n = a.numerator * b.numerator
+                d = a.denominator * b.denominator
+                if d == den:
+                    num += n
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + n * (den // g)
+                    den = den // g * d
+            else:
+                term = _times(a, b)
+                poly = term if poly is None else poly + term
+        acc = Fraction(num, den)
+        return acc if poly is None else _settled(poly + P.const(acc))
+
+    def _row(self, ident_idx: int, j: int) -> Fraction | P:
+        acc = _ZERO
+        poly = None
+        for coeff, factors in self._terms[ident_idx]:
+            if not coeff:
+                continue
+            entry = self._product(factors, j)
+            if type(entry) is Fraction:
+                acc += coeff * entry
+            else:
+                term = entry.scaled(coeff)
+                poly = term if poly is None else poly + term
+        return acc if poly is None else _settled(poly + P.const(acc))
 
     # ---- elimination
 
@@ -263,15 +326,15 @@ class _Stream:
             if pid in val.pids():
                 self.env[other] = val.subst(sub)
 
-    def _eliminate_row(self, label: str, row: P, j, log: dict) -> bool:
+    def _eliminate_row(self, label: str, row: Fraction | P, j, log: dict) -> bool:
         """Use an affine row to resolve one pending; defer nonlinear rows."""
-        if not row.mon:
+        if type(row) is Fraction:
+            if row:
+                raise InconsistentSystem(
+                    f"no formal solution at order {j}: identity {label!r} "
+                    f"reduces to {row} = 0"
+                )
             return True
-        if row.is_const:
-            raise InconsistentSystem(
-                f"no formal solution at order {j}: identity {label!r} "
-                f"reduces to {row.value} = 0"
-            )
         if row.degree() > 1:
             return False
         lin = row.lin_items()
@@ -307,7 +370,7 @@ class _Stream:
     # ---- main loop
 
     def run(self) -> None:
-        deferred: list[tuple[str, P]] = []
+        deferred: list[tuple[str, Fraction | P]] = []
         for j in range(0, self.internal - self.d + 1):
             log = {"order": j, "introduced": [], "resolved": [], "free": [],
                    "rank": 0}
@@ -334,12 +397,12 @@ class _Stream:
         if log["resolved"] or log["free"]:
             self.diagnostics.append(log)
         for label, row in deferred:
-            row = row.subst(self.env)
-            if row.is_const:
-                if row.value != 0:
+            row = _subst(row, self.env)
+            if type(row) is Fraction:
+                if row != 0:
                     raise InconsistentSystem(
                         f"no formal solution: deferred row of identity "
-                        f"{label!r} reduces to {row.value} = 0"
+                        f"{label!r} reduces to {row} = 0"
                     )
             elif all(self.live[p].order > self.target for p in row.pids()):
                 continue  # constrains only coefficients beyond the truncation
@@ -349,12 +412,13 @@ class _Stream:
                     "the case seed data is incomplete"
                 )
 
-    def _drain(self, queue: list[tuple[str, P]], j, log: dict) -> list[tuple[str, P]]:
+    def _drain(self, queue: list[tuple[str, Fraction | P]], j, log: dict
+               ) -> list[tuple[str, Fraction | P]]:
         while True:
             progressed = False
             leftover = []
             for label, row in queue:
-                row = row.subst(self.env)
+                row = _subst(row, self.env)
                 if self._eliminate_row(label, row, j, log):
                     progressed = True
                 else:
@@ -368,12 +432,12 @@ class _Stream:
         for fn in self.functions:
             coef = []
             for o in range(self.target + 1):
-                poly = self._coef(fn, o)
-                if not poly.is_const:
+                value = self._coef(fn, o)
+                if type(value) is not Fraction:
                     raise InconsistentSystem(
                         f"coefficient {fn}[{o}] left undetermined"
                     )
-                coef.append(poly.value)
+                coef.append(value)
             out[fn] = TruncSeries(coef)
         return out
 
@@ -595,11 +659,12 @@ def _einstein_flag(case, spec, aw, params, init_params, lam, order):
             "rational in f'''(0); pass f1 explicitly instead of "
             f"{fslot.param}"
         )
-    # reference pass: f'''(0) is proportional to the cone datum f'(0)
+    # reference pass: f'''(0) is proportional to the cone datum f'(0); the
+    # slope only reads f[3], which an order-4 staircase already settles
     ref = dict(params)
     ref["f1"] = case.circle_rate(aw)
     ref.pop(fslot.param, None)
-    refsol = _einstein_run(case, spec, aw, ref, lam, order)
+    refsol = _einstein_run(case, spec, aw, ref, lam, min(order, 4))
     slope = 6 * refsol.functions["f"].coef[3] / ref["f1"]
     if slope == 0:
         raise ConstraintError(

@@ -153,6 +153,11 @@ CONSTRAINT_PATHS = [
     ("A", None, {"a0": 1, "b0": 1, "c0": 1}, r"case A needs --k and --l"),
     # k + l = 0 leaves the forced f'(0) = 2 delta / (k + l) undefined
     ("E", (-1, 1), {"b0": 1, "q": 0}, r"\(-1, 1\)|k \+ l"),
+    # N^{k,l} and N^{-k,-l} are the same orbit: sign flips are excluded too
+    ("E", (-1, 2), {"b0": 1, "q": 0}, r"\(k, l\) = \(-1, 2\) is excluded for case E"),
+    ("E", (-2, 1), {"b0": 1, "q": 0}, r"\(k, l\) = \(-2, 1\) is excluded for case E"),
+    ("A", (-1, -1), {"a0": 1, "b0": 1, "c0": 1},
+     r"\(k, l\) = \(-1, -1\) is excluded for case A"),
 ]
 
 

@@ -1,0 +1,118 @@
+"""Golden digests of the exact staircase.
+
+Each point pins two sha256 digests:
+
+* the exact result: `json.dumps({"functions": ..., "free_slots": ...},
+  sort_keys=True)` of the solution, so every coefficient stays
+  `Fraction`-equal;
+* the staircase: the per-order `(order, resolved, free, rank)` log, so the
+  pivots, slot detections and ranks stay the same.
+
+A reformulation of the recursion may re-pin the staircase digest with a
+reason; the exact digest never changes.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from awflow.analysis import detect_f_vanishing
+from awflow.reptheory import AloffWallach
+from awflow.solver import einstein_series, solve_series
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _digests(sol) -> tuple[str, str]:
+    data = sol.to_json()
+    exact = _sha({"functions": data["functions"], "free_slots": data["free_slots"]})
+    log = [[entry.get("order"), entry.get("resolved", []), entry.get("free", []),
+            entry.get("rank")] for entry in sol.diagnostics]
+    return exact, _sha(log)
+
+
+HALF = F(1, 2)
+
+SERIES_POINTS = {
+    "A": ({"a0": F(3, 2), "b0": 1, "c0": F(2, 3)}, {"k": 2, "l": 1}),
+    "B": ({"a0": 2, "b0": F(1, 3), "c0": F(5, 2)}, {}),
+    "C": ({"a0": 5, "b0": 3, "c0": 4}, {}),
+    "D": ({"b0": F(3, 2), "f0": F(2, 3)}, {}),
+    "E": ({"b0": F(2, 3), "q": HALF}, {"k": 2, "l": 1}),
+    "F": ({"b0": F(3, 2), "q1": HALF, "q2": HALF}, {}),
+    "G": ({"a0": F(5, 3), "q": HALF}, {}),
+    "H": ({"a0": F(2, 5), "q": HALF}, {}),
+}
+
+SERIES_DIGESTS = {
+    "A": ("54a72234339c9300c75b60bbd6233447a94fb5d4e738f1c7da3e024d7c1c0497",
+          "6df7b23d0249a8899b160e641ba4236915d5d6c17b8670fd12fc6ba52ad11907"),
+    "B": ("edf945f537e3f945fa251a98f3466f6c3a05465626ebcc548c811af796dffe61",
+          "6df7b23d0249a8899b160e641ba4236915d5d6c17b8670fd12fc6ba52ad11907"),
+    "C": ("fd0e62323cb519bfb3aca53fd641eb6b2e056b4525e6d7e8de1a0f628bca42ac",
+          "f157c61a426b126909274e286a648073f43794dd10000acf9170c1f300befb9f"),
+    "D": ("c27b100d5fb1ba2072054f97926290f47b3e87c7a1f7665a36c83e4a2397e2ff",
+          "f10aff9a0e6126e1633dc456a841ac6a84e895bdcfbca393a879d83f979619c7"),
+    "E": ("dd89f1ad8cdf5432e5db5b63d48000974002ae54068f04b7782cb1aa12af2488",
+          "eb752995483cd69453ca1720b5450f14364e154b873d2b3e3ea964ff6e6137f8"),
+    "F": ("f4e99216b0fe2481fae8d624c28fcf756c6eb53109b33f18557ade21ed949de2",
+          "2edd0fb8f4010ae257d315b416cb7f9aed3dbe1cdd456bed88b6961a70430a1f"),
+    "G": ("0b2c5de4346b596bc89c384e0eed8c61004381dd8b0743a777388ba168b64c32",
+          "4ecf7626cf2c84c30e94fede9bbafc92429f85d2832b9239483db00c71ec8330"),
+    "H": ("7ee825bd698fef537460f6fc85f27979706aa535c5e229cff522584c04aa55a2",
+          "87a1723eeaef9277a6f3e30d71d3bb764a0cc32e031d35caf2c3fc69335bbf6d"),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(SERIES_POINTS))
+def test_series_digest(cid):
+    params, kw = SERIES_POINTS[cid]
+    sol = solve_series(cid, params, order=20, **kw)
+    assert _digests(sol) == SERIES_DIGESTS[cid]
+
+
+EINSTEIN_POINTS = {
+    "A/0": ("A", {"a0": F(3, 2), "b0": 1, "c0": F(2, 3), "f3": 1}, 0, {"k": 2, "l": 1}),
+    "A/1": ("A", {"a0": 2, "b0": F(3, 2), "c0": 1, "f3": -2}, 1, {"k": 2, "l": 1}),
+    "C/1": ("C", {"a0": 3, "b0": 2, "c0": F(5, 3), "f3": HALF}, 1, {}),
+    "D/1": ("D", {"b0": F(3, 2), "f0": F(2, 3)}, 1, {}),
+}
+
+EINSTEIN_DIGESTS = {
+    "A/0": ("34f597b838a34cb8423eb08a5cf501acfaff6268f5ea64a073d6d2b222584fa7",
+            "3dcfd8fb0c4a0f0be572f656f826dc2e3e2c368444e69da8734231bfa739bc01"),
+    "A/1": ("118ee36919798bc3edbc812418354769fcbba71bd57b1a51638f9dd0e044050d",
+            "3dcfd8fb0c4a0f0be572f656f826dc2e3e2c368444e69da8734231bfa739bc01"),
+    "C/1": ("8b7fd9227241f6165769bb5ae731660a19e6138e69d827e2b78473b4207acdce",
+            "e5a2128257fe354e557457318d74c7a245ae51fdca7ed9c25fb757c7c480cd42"),
+    "D/1": ("92f18ff1d7409344838b6db042bf400d567592876f17c43da4c0b474b53183c8",
+            "4dddf8c0237cbd9656482996c139230e6b738a0848a755368d9827a36f9a3df7"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(EINSTEIN_POINTS))
+def test_einstein_digest(label):
+    cid, params, lam, kw = EINSTEIN_POINTS[label]
+    sol = einstein_series(cid, params, lam, order=10, **kw)
+    assert _digests(sol) == EINSTEIN_DIGESTS[label]
+
+
+VANISHING_DIGESTS = {
+    (2, 1): ("4d231ed117eb756654b91e6f41541bc0fbe193233c723d05c5ffcb0786b8903a",
+             "3b3461e2c1dd1172b69da3e15384ca9d9bb1b44e19e70eb543c90541ed452ef5"),
+    (1, 0): ("4d231ed117eb756654b91e6f41541bc0fbe193233c723d05c5ffcb0786b8903a",
+             "3b3461e2c1dd1172b69da3e15384ca9d9bb1b44e19e70eb543c90541ed452ef5"),
+}
+
+
+@pytest.mark.parametrize("kl", sorted(VANISHING_DIGESTS))
+def test_vanishing_digest(kl):
+    trace = detect_f_vanishing(AloffWallach(*kl), order=12)
+    exact = _sha({"f_coefficients": trace["f_coefficients"],
+                  "all_zero": trace["all_zero"]})
+    assert (exact, _sha(trace["induction_trace"])) == VANISHING_DIGESTS[kl]
