@@ -183,7 +183,9 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
     traj = integ.integrate(sysid, start, t_end, tol)
     checks.append(CheckResult(
         "integration", traj.termination == "reached_t_end",
-        {"termination": traj.termination, "samples": traj.stats["n_samples"]}))
+        {"termination": traj.termination, "samples": traj.stats["n_samples"],
+         **{key: traj.stats[key]
+            for key in ("message", "max_abs_y", "min_abs_y", "max_abs_dy")}}))
 
     mirrors = [name for name, pair in integ.MIRRORS.items()
                if pair in case.equal_pairs]

@@ -2,9 +2,10 @@
 
 A series solution is evaluated at a small t0 > 0 to launch an adaptive
 Runge-Kutta 5(4) integration of the first-order system.  Residual monitors
-evaluate the Einstein equations (second derivatives via a finite-difference
-Jacobian chain rule), the reduced-holonomy constraint, and mirror identities
-along the trajectory.
+evaluate the Einstein equations (second derivatives by the chain rule with a
+complex-step Jacobian), the reduced-holonomy constraint, and mirror identities
+along the trajectory.  Everything that reads a stored trajectory evaluates the
+system once over all samples, on arrays of shape (samples, functions).
 """
 from __future__ import annotations
 
@@ -49,18 +50,19 @@ def launch_state(sol: SeriesSolution, t0: float, rel_tol: float = 1e-10) -> Stat
     """Evaluate the series at t0 > 0 and check the truncation-error proxy."""
     if t0 <= 0:
         raise ValueError("t0 must be positive: the series is singular at t = 0")
-    values = {}
+    values, tails = {}, {}
     for fn, series in sol.functions.items():
-        value, proxy = series.eval_float(t0)
+        values[fn], proxy = series.eval_float(t0)
         # an exactly-zero top coefficient (parity) would hide the tail
-        tail = max(proxy, abs(float(series.coef[-2]) * t0 ** (series.order - 1)))
-        scale = max(abs(value), 1.0)
+        tails[fn] = max(proxy, abs(float(series.coef[-2]) * t0 ** (series.order - 1)))
+    # the state's own size sets the scale, so y -> s*y(t/s) launches alike
+    scale = max(abs(v) for v in values.values())
+    for fn, tail in tails.items():
         if tail > rel_tol * scale:
             raise ValueError(
                 f"t0 too large for series order: {fn} truncation proxy "
                 f"{tail:.2e} exceeds {rel_tol:.0e} * {scale:.2e}"
             )
-        values[fn] = value
     return State(values, t=t0)
 
 
@@ -81,7 +83,8 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
     fns = sys.functions
 
     def rhs(t, y):
-        d = rhs_first_order(sys, State(dict(zip(fns, y)), t=t))
+        # one state per call: Python floats beat length-1 arrays here
+        d = rhs_first_order(sys, State(dict(zip(fns, y.tolist())), t=t))
         return [d[fn] for fn in fns]
 
     events = []
@@ -145,62 +148,62 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
         t, y = res.t, res.y.T
     if t.size < 2:
         raise ValueError(f"integration terminated immediately: {termination}")
-    d = np.array([rhs(ti, yi) for ti, yi in zip(t, y)])
+    d = _rhs_rows(sys, y)
+    # the last sample tells a derivative blow-up from a collapse or a large state
     stats = {"n_samples": int(t.size), "nfev": int(res.nfev),
-             "termination": termination}
+             "termination": termination, "message": res.message,
+             "max_abs_y": float(np.max(np.abs(y[-1]))),
+             "min_abs_y": float(np.min(np.abs(y[-1]))),
+             "max_abs_dy": float(np.max(np.abs(d[-1])))}
     return Trajectory(system=sys, t=np.asarray(t), y=np.asarray(y), d=d,
                       termination=termination, stats=stats)
 
 
+def _rhs_rows(sys: SystemId, y: np.ndarray) -> np.ndarray:
+    """The first-order flow at every row of y (samples x functions), in one call."""
+    fns = sys.functions
+    d = rhs_first_order(sys, State(dict(zip(fns, y.T))))
+    return np.column_stack([d[fn] for fn in fns])
+
+
 def first_order_defect(sys: SystemId, traj: Trajectory) -> float:
     """Max defect of the stored flow at segment midpoints (cubic Hermite)."""
-    fns = sys.functions
-    worst = 0.0
-    for i in range(len(traj.t) - 1):
-        h = traj.t[i + 1] - traj.t[i]
-        if h <= 0:
-            continue
-        y0, y1 = traj.y[i], traj.y[i + 1]
-        d0, d1 = traj.d[i], traj.d[i + 1]
-        ym = 0.5 * (y0 + y1) + 0.125 * h * (d0 - d1)
-        dm = 1.5 * (y1 - y0) / h - 0.25 * (d0 + d1)
-        d = rhs_first_order(sys, State(dict(zip(fns, ym))))
-        rhs_m = np.array([d[fn] for fn in fns])
-        worst = max(worst, float(np.max(np.abs(dm - rhs_m))))
-    return worst
+    h = np.diff(traj.t)
+    seg = np.flatnonzero(h > 0)
+    h = h[seg, None]
+    y0, y1 = traj.y[seg], traj.y[seg + 1]
+    d0, d1 = traj.d[seg], traj.d[seg + 1]
+    ym = 0.5 * (y0 + y1) + 0.125 * h * (d0 - d1)
+    dm = 1.5 * (y1 - y0) / h - 0.25 * (d0 + d1)
+    return float(np.max(np.abs(dm - _rhs_rows(sys, ym)), initial=0.0))
 
 
-def _fd_jacobian(sys: SystemId, values: dict[str, float]) -> np.ndarray:
-    """Jacobian of the flow by complex-step differentiation.
+def _einstein_rows(sys: SystemId, y: np.ndarray, lam: float = 0.0) -> list[np.ndarray]:
+    """Einstein residuals at every row of y, with d2 = J d1 by the chain rule.
 
-    The right-hand sides are rational, so a purely imaginary step avoids the
-    subtractive cancellation of real differences; near a collapsing function
-    a real step cannot meet the residual budget.
+    Column j of the flow's Jacobian J is one complex-step call on the batch:
+    the right-hand sides are rational, so a purely imaginary step avoids the
+    subtractive cancellation of real differences, which near a collapsing
+    function cannot meet the residual budget.
     """
-    fns = sys.functions
-    n = len(fns)
-    jac = np.empty((n, n))
-    for j, fn in enumerate(fns):
-        h = 1e-100 * max(1.0, abs(values[fn]))
-        bumped = {name: complex(v) for name, v in values.items()}
-        bumped[fn] += 1j * h
-        fu = rhs_first_order(sys, State(bumped))
-        for i, out in enumerate(fns):
-            jac[i, j] = fu[out].imag / h
-    return jac
+    sysf = sys.first_order()
+    fns = sysf.functions
+    d1 = _rhs_rows(sysf, y)
+    d2 = np.zeros_like(d1)
+    for j in range(len(fns)):
+        h = 1e-100 * np.maximum(1.0, np.abs(y[:, j]))
+        bumped = y.astype(complex)
+        bumped[:, j] += 1j * h
+        d2 += _rhs_rows(sysf, bumped).imag / h[:, None] * d1[:, j, None]
+    return residual_einstein(sysf.einstein(), State(dict(zip(fns, y.T))),
+                             dict(zip(fns, d1.T)), dict(zip(fns, d2.T)), lam)
 
 
 def einstein_residual_at(sys: SystemId, values: dict[str, float],
                          lam: float = 0.0) -> list[float]:
     """Einstein residual on a first-order state, d2 by the chain rule."""
-    sysf = sys.first_order()
-    fns = sysf.functions
-    d1 = rhs_first_order(sysf, State(dict(values)))
-    jac = _fd_jacobian(sysf, values)
-    vec = np.array([d1[fn] for fn in fns])
-    d2v = jac @ vec
-    d2 = dict(zip(fns, d2v))
-    return residual_einstein(sysf.einstein(), State(dict(values)), d1, d2, lam)
+    y = np.array([[values[fn] for fn in sys.first_order().functions]], dtype=float)
+    return [float(r[0]) for r in _einstein_rows(sys, y, lam)]
 
 
 #: Mirror monitors and the pair of functions each one compares.
@@ -216,32 +219,25 @@ def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
             raise ValueError(f"unknown check {check!r}; available: {CHECKS}")
         if check in ("su4_constraint", "mirror_a12") and sys.first_order().kind != "S2":
             raise ValueError(f"check {check!r} needs the exceptional-orbit system")
+    col = dict(zip(traj.functions, traj.y.T))
     report: dict = {}
     per_sample = np.zeros(len(traj.t))
     for check in checks:
-        vals = []
-        for i in range(len(traj.t)):
-            values = dict(zip(traj.functions, traj.y[i]))
-            if check == "einstein_lambda0":
-                v = max(abs(r) for r in einstein_residual_at(sys, values))
-            elif check == "su4_constraint":
-                v = max(abs(values["a1"] + values["a2"]),
-                        abs(values["a1"] ** 2 - values["b"] ** 2 - values["c"] ** 2))
-            else:
-                fn1, fn2 = MIRRORS[check]
-                v = abs(values[fn1] - values[fn2])
-            vals.append(v)
-        vals = np.array(vals)
+        extra = {}
+        if check == "einstein_lambda0":
+            vals = np.max(np.abs(_einstein_rows(sys, traj.y)), axis=0)
+        elif check == "su4_constraint":
+            s = np.abs(col["a1"] + col["a2"])
+            q = np.abs(col["a1"] ** 2 - col["b"] ** 2 - col["c"] ** 2)
+            vals = np.maximum(s, q)
+            extra = {"max_sum": float(s.max()), "max_quadric": float(q.max())}
+        else:
+            fn1, fn2 = MIRRORS[check]
+            vals = np.abs(col[fn1] - col[fn2])
         per_sample = np.maximum(per_sample, vals)
         imax = int(np.argmax(vals))
-        report[check] = {"max": float(vals[imax]), "argmax_t": float(traj.t[imax])}
-        if check == "su4_constraint":
-            report[check]["max_sum"] = float(
-                max(abs(traj.y[i][0] + traj.y[i][1]) for i in range(len(traj.t))))
-            report[check]["max_quadric"] = float(max(
-                abs(traj.y[i][0] ** 2 - traj.y[i][traj.functions.index("b")] ** 2
-                    - traj.y[i][traj.functions.index("c")] ** 2)
-                for i in range(len(traj.t))))
+        report[check] = {"max": float(vals[imax]), "argmax_t": float(traj.t[imax]),
+                         **extra}
     traj.stats["res_max_per_sample"] = per_sample
     return report
 
@@ -254,13 +250,9 @@ def transform_trajectory(smap, traj: Trajectory) -> Trajectory:
     cols = {fn: i for i, fn in enumerate(fns)}
     y = np.column_stack([sgn[fn] * traj.y[:, cols[src[fn]]] for fn in fns])
     t = smap.t_sign * traj.t
-    d = np.empty_like(y)
     if smap.t_sign < 0:
         t = t[::-1]
         y = y[::-1]
-    for i in range(len(t)):
-        di = rhs_first_order(traj.system, State(dict(zip(fns, y[i]))))
-        d[i] = [di[fn] for fn in fns]
-    return Trajectory(system=traj.system, t=t, y=y, d=d,
+    return Trajectory(system=traj.system, t=t, y=y, d=_rhs_rows(traj.system, y),
                       termination=traj.termination,
                       stats={"transformed_by": smap.name})

@@ -2,12 +2,15 @@
 
 S1/S2 are the first-order holonomy-reduction systems for a generic and for
 the exceptional (1,1) principal orbit; E1/E2 are the corresponding
-second-order Einstein systems.  Evaluators are stateless; residuals take
-derivatives as explicit inputs.
+second-order Einstein systems.  Evaluators are stateless plain arithmetic, so
+a state holding one numpy array per function is evaluated at every sample in
+one call; residuals take derivatives as explicit inputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .reptheory import AloffWallach
 
@@ -62,8 +65,10 @@ class State:
 
 
 def _require_nonzero(values: dict[str, float], names) -> None:
+    """Raise ZeroDenominator if a named value, or any entry of an array, is zero."""
     for name in names:
-        if values[name] == 0.0:
+        v = values[name]
+        if not (v.all() if isinstance(v, np.ndarray) else v):
             raise ZeroDenominator(name)
 
 

@@ -171,3 +171,33 @@ class TestConsistency:
         send = dict(zip(straj.functions, straj.y[-1]))
         for fn in end:
             assert abs(send[fn] - sigma * end[fn]) < 1e-9
+
+
+class TestStopReport:
+    def test_step_underflow_shows_derivative_blow_up(self):
+        # F with slots of opposite signs ends in finite time before t = 1:
+        # the state stays moderate while its derivative explodes
+        sol = solve_series("F", {"b0": 1, "q1": -1, "q2": 1}, order=20)
+        traj = integ.integrate(sol.system(), integ.launch_state(sol, 1e-2), 1.0, 1e-10)
+        assert traj.termination == "step_underflow"
+        stats = traj.stats
+        assert stats["max_abs_dy"] > 1e3 * stats["max_abs_y"]
+        assert 0 < stats["min_abs_y"] <= stats["max_abs_y"]
+        assert "step size" in stats["message"]
+
+    def test_reached_end_stats(self, traj_c534):
+        stats = traj_c534.stats
+        assert stats["max_abs_y"] == float(np.max(np.abs(traj_c534.y[-1])))
+        assert stats["min_abs_y"] == float(np.min(np.abs(traj_c534.y[-1])))
+        assert stats["max_abs_dy"] == float(np.max(np.abs(traj_c534.d[-1])))
+
+
+class TestLaunchScale:
+    def test_homothetic_copy_launches_at_same_order(self):
+        # y -> s*y(t/s) scales every coefficient's term at s*t0 by s, so the
+        # truncation test must pass or fail for both alike
+        for params, t0 in [({"a0": 5, "b0": 3, "c0": 4}, 1e-2),
+                           ({"a0": 10, "b0": 6, "c0": 8}, 2e-2)]:
+            sol = solve_series("C", params, order=6)
+            st = integ.launch_state(sol, t0)
+            assert st.t == t0
