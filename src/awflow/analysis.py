@@ -185,7 +185,8 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
         "integration", traj.termination == "reached_t_end",
         {"termination": traj.termination, "samples": traj.stats["n_samples"],
          **{key: traj.stats[key]
-            for key in ("message", "max_abs_y", "min_abs_y", "max_abs_dy")}}))
+            for key in ("message", "n_steps", "n_rejected", "h_min", "h_max",
+                        "max_abs_y", "min_abs_y", "max_abs_dy")}}))
 
     mirrors = [name for name, pair in integ.MIRRORS.items()
                if pair in case.equal_pairs]

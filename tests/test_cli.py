@@ -136,3 +136,20 @@ class TestCases:
         assert by_id["C"]["normalization"] == {"f": "12"}
         assert by_id["H"]["free_slots"] == [["c", 2, "q"]]
         assert by_id["E"]["kl"] is None
+
+
+class TestIntegrationReport:
+    def test_step_statistics_in_verify(self, capsys):
+        code, out, _ = run(capsys, "verify", "--case", "D", "--t-end", "0.2")
+        assert code == 0
+        detail = next(c["detail"] for c in json.loads(out)["checks"]
+                      if c["name"] == "integration")
+        assert detail["n_steps"] >= 1024 and detail["n_rejected"] >= 0
+        assert 0 < detail["h_min"] <= detail["h_max"] <= (0.2 - 1e-2) / 1024 * (1 + 1e-12)
+
+    def test_reversed_interval_is_usage_error(self, capsys):
+        # the launch point t0 = 1e-2 lies beyond t_end
+        code, _, err = run(capsys, "verify", "--case", "D", "--t-end", "0.005")
+        assert code == 2
+        assert "t_end > t0" in err
+        assert "t0 = 0.01, t_end = 0.005" in err

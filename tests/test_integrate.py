@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -201,3 +206,45 @@ class TestLaunchScale:
             sol = solve_series("C", params, order=6)
             st = integ.launch_state(sol, t0)
             assert st.t == t0
+
+
+class TestStepStats:
+    def test_capped_steps_account_for_nfev(self, traj_c534):
+        # one evaluation at t0, one for the initial step, six per attempt
+        stats = traj_c534.stats
+        assert stats["nfev"] == 2 + 6 * (stats["n_steps"] + stats["n_rejected"])
+        assert stats["h_max"] <= (1.0 - 1e-2) / 1024 * (1 + 1e-12)
+        assert 0 < stats["h_min"] <= stats["h_max"]
+
+    def test_step_underflow_shrinks_the_step(self):
+        sol = solve_series("F", {"b0": 1, "q1": -1, "q2": 1}, order=20)
+        traj = integ.integrate(sol.system(), integ.launch_state(sol, 1e-2), 1.0, 1e-10)
+        assert traj.termination == "step_underflow"
+        assert traj.stats["h_min"] < 1e-12
+
+    def test_reversed_interval_rejected(self, sol_c534):
+        start = integ.launch_state(sol_c534, 1e-2)
+        for t_end in (1e-2, 5e-3):
+            with pytest.raises(ValueError, match="t_end > t0"):
+                integ.integrate(sol_c534.system(), start, t_end, 1e-10)
+
+    def test_tiny_tolerance_floored_with_warning(self):
+        sol = solve_series("D", {"b0": 1, "f0": 1}, order=20)
+        start = integ.launch_state(sol, 1e-2)
+        with pytest.warns(UserWarning, match="rtol"):
+            traj = integ.integrate(sol.system(), start, 2e-2, 1e-17, n_samples=200)
+        assert traj.termination == "reached_t_end"
+
+
+def test_scipy_stays_off_the_import_path():
+    # scipy is imported only to locate an event's root
+    code = ("import sys; from awflow import integrate as integ; "
+            "from awflow.solver import solve_series; "
+            "assert 'scipy' not in sys.modules; "
+            "sol = solve_series('D', {'b0': 1, 'f0': 1}, order=20); "
+            "traj = integ.integrate(sol.system(), integ.launch_state(sol, 1e-2), 1.0, 1e-10); "
+            "assert traj.termination == 'reached_t_end'; "
+            "assert 'scipy' not in sys.modules")
+    src = str(Path(integ.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
