@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .polyident import compiled
 from .solver import SeriesSolution
 from .systems import State, SystemId, ZeroDenominator, rhs_first_order, residual_einstein
 
@@ -93,17 +94,12 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
                       f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
                       stacklevel=2)
     rtol = max(tol, 100 * _EPS)
-
-    def rhs(t, y):
-        d = rhs_first_order(sys, State(dict(zip(fns, y)), t=t))
-        return [d[fn] for fn in fns]
-
     y0 = [float(start.values[fn]) for fn in fns]
     n_eval = max(n_samples, 200)
     # an identically-zero function is an invariant subspace: no collapse event
     live = [i for i, v in enumerate(y0) if abs(v) > collapse_eps]
     try:
-        run = _dopri5(rhs, t0, y0, t_end, rtol, tol,
+        run = _dopri5(compiled(sys), t0, y0, t_end, rtol, tol,
                       (t_end - t0) / n_eval if step_cap else math.inf,
                       np.linspace(t0, t_end, n_eval).tolist(),
                       live, collapse_eps, blow_up)
@@ -124,7 +120,12 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
     if len(t) < 2:
         raise ValueError(f"integration terminated immediately: {termination}")
     t, y = np.array(t), np.array(y)
-    d = _rhs_rows(sys, y)
+    try:
+        d = _rhs_rows(sys, y)
+    except ZeroDenominator:  # an event state exactly on zero: the flow is unbounded
+        if run.status != 1:
+            raise
+        d = np.vstack([_rhs_rows(sys, y[:-1]), np.full(len(fns), np.inf)])
     # the last sample tells a derivative blow-up from a collapse or a large state
     stats = {"n_samples": int(t.size), "nfev": run.nfev,
              "n_steps": run.n_steps, "n_rejected": run.n_rejected,
@@ -142,7 +143,6 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
 _EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
-_C2, _C3, _C4, _C5 = 1/5, 3/10, 4/5, 8/9
 _A21 = 1/5
 _A31, _A32 = 3/40, 9/40
 _A41, _A42, _A43 = 44/45, -56/15, 32/9
@@ -185,25 +185,25 @@ class _Run:
     event: tuple | None  # (kind, function index, t, y) of a terminal event
 
 
-def _dopri5(rhs, t0: float, y0: list[float], t_end: float, rtol: float,
+def _dopri5(flow, t0: float, y0: list[float], t_end: float, rtol: float,
             atol: float, max_step: float, t_eval: list[float], live: list[int],
             collapse_eps: float, blow_up: float) -> _Run:
     """Integrate forward on plain floats, sampling at t_eval.
 
     Each accepted step is checked once for the terminal events: |y_i| falling
     to collapse_eps, y_i changing sign (for i in live), and max |y| rising to
-    blow_up.  Only a step where one fires has its root located, by brentq on
-    the step's interpolant.
+    blow_up.  Only a step where one fires has its root located, by bisection
+    on the step's interpolant.  h_min leaves out steps clipped to t_end.
     """
     t, y = t0, y0
-    f = rhs(t, y)
+    f = flow(y)
     # the initial step of Hairer, Norsett & Wanner, II.4
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _norm([v / s for v, s in zip(y, scale)])
     d1 = _norm([v / s for v, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t)
-    f1 = rhs(t + h0, [v + h0 * df for v, df in zip(y, f)])
+    f1 = flow([v + h0 * df for v, df in zip(y, f)])
     d2 = _norm([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h_abs = max(1e-6, h0 * 1e-3)
@@ -228,24 +228,23 @@ def _dopri5(rhs, t0: float, y0: list[float], t_end: float, rtol: float,
                 status = -1
                 break
             t_new = t + h_abs
-            if t_new - t_end > 0:
+            clipped = t_new - t_end > 0
+            if clipped:
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
             k1 = f
-            k2 = rhs(t + _C2 * h, [v + (_A21 * a) * h for v, a in zip(y, k1)])
-            k3 = rhs(t + _C3 * h, [v + (_A31 * a + _A32 * b) * h
-                                   for v, a, b in zip(y, k1, k2)])
-            k4 = rhs(t + _C4 * h, [v + (_A41 * a + _A42 * b + _A43 * c) * h
-                                   for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs(t + _C5 * h, [v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + h, [v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                  + _A65 * e) * h
-                             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            k2 = flow([v + (_A21 * a) * h for v, a in zip(y, k1)])
+            k3 = flow([v + (_A31 * a + _A32 * b) * h for v, a, b in zip(y, k1, k2)])
+            k4 = flow([v + (_A41 * a + _A42 * b + _A43 * c) * h
+                       for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = flow([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                       for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = flow([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                       for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
             y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
                      for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(t + h, y_new)
+            k7 = flow(y_new)
             err = _norm([(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * p)
                          * h / (atol + max(abs(v), abs(w)) * rtol)
                          for v, w, a, c, d, e, g, p
@@ -263,7 +262,9 @@ def _dopri5(rhs, t0: float, y0: list[float], t_end: float, rtol: float,
         if status == -1:
             break
         n_steps += 1
-        h_min, h_max = min(h_min, h), max(h_max, h)
+        if not clipped:
+            h_min = min(h_min, h)
+        h_max = max(h_max, h)
         if t_new - t_end >= 0:
             status = 0
 
@@ -277,8 +278,6 @@ def _dopri5(rhs, t0: float, y0: list[float], t_end: float, rtol: float,
 
         fired = _fired(y, y_new, live, collapse_eps, blow_up)
         if fired:
-            from scipy.optimize import brentq  # only a step with an event pays
-
             def root(event):
                 kind, i = event
                 if kind == "blow_up":
@@ -287,7 +286,7 @@ def _dopri5(rhs, t0: float, y0: list[float], t_end: float, rtol: float,
                     g = lambda tt: abs(dense(tt)[i]) - collapse_eps  # noqa: E731
                 else:
                     g = lambda tt: dense(tt)[i]  # noqa: E731
-                return brentq(g, t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+                return _bisect(g, t, t_new)
             # the earliest root wins; a tie goes to the first event listed
             t_new, j = min((root(ev), j) for j, ev in enumerate(fired))
             event = (*fired[j], t_new, dense(t_new))
@@ -297,9 +296,27 @@ def _dopri5(rhs, t0: float, y0: list[float], t_end: float, rtol: float,
             ys.append(dense(t_eval[i_eval]))
             i_eval += 1
         t, y, f = t_new, y_new, k7
-    # one evaluation at t0, one for the initial step, six per attempted step
+    # one evaluation at t0, one for the initial step, six per attempted step;
+    # a run whose only step was clipped reports that step as h_min
     return _Run(ts, ys, status, 2 + 6 * (n_steps + n_rejected), n_steps,
-                n_rejected, h_min, h_max, event)
+                n_rejected, min(h_min, h_max), h_max, event)
+
+
+def _bisect(g, lo: float, hi: float) -> float:
+    """A root of g between lo and hi, where it changes sign, by bisection to
+    4 eps relative; the end returned is the one where the sign has changed."""
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo and g_hi and (g_lo < 0) == (g_hi < 0):
+        raise ValueError("the event function has the same sign at both ends")
+    if not g_lo:
+        return lo
+    while hi - lo > 4 * _EPS * (1 + abs(lo)):
+        mid = 0.5 * (lo + hi)
+        if (g(mid) < 0) == (g_lo < 0):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _fired(y: list[float], y_new: list[float], live: list[int],
@@ -325,9 +342,11 @@ def _rhs_rows(sys: SystemId, y: np.ndarray) -> np.ndarray:
 
 
 def first_order_defect(sys: SystemId, traj: Trajectory) -> float:
-    """Max defect of the stored flow at segment midpoints (cubic Hermite)."""
+    """Max defect of the stored flow at segment midpoints (cubic Hermite),
+    leaving out a segment that ends at a non-finite row (a collapse on zero)."""
     h = np.diff(traj.t)
-    seg = np.flatnonzero(h > 0)
+    finite = np.isfinite(traj.d).all(axis=1)
+    seg = np.flatnonzero((h > 0) & finite[:-1] & finite[1:])
     h = h[seg, None]
     y0, y1 = traj.y[seg], traj.y[seg + 1]
     d0, d1 = traj.d[seg], traj.d[seg + 1]
@@ -383,7 +402,10 @@ def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
     for check in checks:
         extra = {}
         if check == "einstein_lambda0":
-            vals = np.max(np.abs(_einstein_rows(sys, traj.y)), axis=0)
+            # unbounded where the stored flow is: a collapse sample exactly on zero
+            finite = np.isfinite(traj.d).all(axis=1)
+            vals = np.full(len(traj.t), np.inf)
+            vals[finite] = np.max(np.abs(_einstein_rows(sys, traj.y[finite])), axis=0)
         elif check == "su4_constraint":
             s = np.abs(col["a1"] + col["a2"])
             q = np.abs(col["a1"] ** 2 - col["b"] ** 2 - col["c"] ** 2)
@@ -401,16 +423,19 @@ def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
 
 
 def transform_trajectory(smap, traj: Trajectory) -> Trajectory:
-    """Apply a symmetry map to a trajectory; t-reversal reverses sample order."""
+    """Apply a symmetry map to a trajectory; t-reversal reverses sample order.
+    Derivatives come from the flow, except that a non-finite row stays inf."""
     fns = traj.functions
+    finite = np.isfinite(traj.d).all(axis=1)
     src = dict(smap.source)
     sgn = dict(smap.signs)
     cols = {fn: i for i, fn in enumerate(fns)}
     y = np.column_stack([sgn[fn] * traj.y[:, cols[src[fn]]] for fn in fns])
     t = smap.t_sign * traj.t
     if smap.t_sign < 0:
-        t = t[::-1]
-        y = y[::-1]
-    return Trajectory(system=traj.system, t=t, y=y, d=_rhs_rows(traj.system, y),
+        t, y, finite = t[::-1], y[::-1], finite[::-1]
+    d = np.full_like(y, np.inf)
+    d[finite] = _rhs_rows(traj.system, y[finite])
+    return Trajectory(system=traj.system, t=t, y=y, d=d,
                       termination=traj.termination,
                       stats={"transformed_by": smap.name})

@@ -2,15 +2,21 @@
 
 Each identity is a sum of terms coeff * lambda^p * prod(function^(derivative))
 that vanishes identically on exact solutions.  These drive the order-by-order
-recursion and the exact re-substitution checks.
+recursion and the exact re-substitution checks, and `compiled` turns them
+into the straight-line float code of the flow and of the Einstein residual.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .exact import TruncSeries
-from .systems import SystemId
+
+if TYPE_CHECKING:
+    from .systems import SystemId
 
 
 @dataclass(frozen=True)
@@ -61,75 +67,48 @@ def _t(coeff, *factors, lam=0):
 
 def _s1_identities(k: int, l: int) -> list[PolyIdentity]:
     D = k * k + k * l + l * l
-    ia = PolyIdentity("a", (
-        _t(2 * D, ("a", 1), "a", "b", "c"),
-        _t(-2 * D, "a", ("b", 0, 2)),
-        _t(-2 * D, "a", ("c", 0, 2)),
-        _t(2 * D, ("a", 0, 3)),
-        _t(k + l, "f", "b", "c"),
-    ))
-    ib = PolyIdentity("b", (
-        _t(2 * D, ("b", 1), "a", "b", "c"),
-        _t(-2 * D, "b", ("c", 0, 2)),
-        _t(-2 * D, "b", ("a", 0, 2)),
-        _t(2 * D, ("b", 0, 3)),
-        _t(-l, "f", "a", "c"),
-    ))
-    ic = PolyIdentity("c", (
-        _t(2 * D, ("c", 1), "a", "b", "c"),
-        _t(-2 * D, "c", ("a", 0, 2)),
-        _t(-2 * D, "c", ("b", 0, 2)),
-        _t(2 * D, ("c", 0, 3)),
-        _t(-k, "f", "a", "b"),
-    ))
+
+    def metric(x: str, o1: str, o2: str, weight: int) -> PolyIdentity:
+        return PolyIdentity(x, (
+            _t(2 * D, (x, 1), "a", "b", "c"),
+            _t(-2 * D, x, (o1, 0, 2)),
+            _t(-2 * D, x, (o2, 0, 2)),
+            _t(2 * D, (x, 0, 3)),
+            _t(weight, "f", o1, o2),
+        ))
     i_f = PolyIdentity("f", (
         _t(2 * D, ("f", 1), ("a", 0, 2), ("b", 0, 2), ("c", 0, 2)),
         _t(-k - l, ("f", 0, 2), ("b", 0, 2), ("c", 0, 2)),
         _t(l, ("f", 0, 2), ("a", 0, 2), ("c", 0, 2)),
         _t(k, ("f", 0, 2), ("a", 0, 2), ("b", 0, 2)),
     ))
-    return [ia, ib, ic, i_f]
+    return [metric("a", "b", "c", k + l), metric("b", "c", "a", -l),
+            metric("c", "a", "b", -k), i_f]
 
 
 def _s2_identities() -> list[PolyIdentity]:
-    i1 = PolyIdentity("a1", (
-        _t(3, ("a1", 1), "a2", "b", "c", "f"),
-        _t(-3, "a2", "f", ("b", 0, 2)),
-        _t(-3, "a2", "f", ("c", 0, 2)),
-        _t(3, "a2", "f", ("a1", 0, 2)),
-        _t(-9, "b", "c", ("a1", 0, 2)),
-        _t(9, "b", "c", ("a2", 0, 2)),
-        _t(1, ("f", 0, 2), "b", "c"),
-    ))
-    i2 = PolyIdentity("a2", (
-        _t(3, ("a2", 1), "a1", "b", "c", "f"),
-        _t(-3, "a1", "f", ("b", 0, 2)),
-        _t(-3, "a1", "f", ("c", 0, 2)),
-        _t(3, "a1", "f", ("a2", 0, 2)),
-        _t(-9, "b", "c", ("a2", 0, 2)),
-        _t(9, "b", "c", ("a1", 0, 2)),
-        _t(1, ("f", 0, 2), "b", "c"),
-    ))
-    i3 = PolyIdentity("b", (
-        _t(6, ("b", 1), "a1", "a2", "b", "c"),
-        _t(-3, "a2", "b", ("a1", 0, 2)),
-        _t(-3, "a2", "b", ("c", 0, 2)),
-        _t(3, "a2", ("b", 0, 3)),
-        _t(-3, "a1", "b", ("a2", 0, 2)),
-        _t(-3, "a1", "b", ("c", 0, 2)),
-        _t(3, "a1", ("b", 0, 3)),
-        _t(-1, "f", "a1", "a2", "c"),
-    ))
-    i4 = PolyIdentity("c", (
-        _t(6, ("c", 1), "a1", "a2", "b", "c"),
-        _t(-3, "a2", "c", ("a1", 0, 2)),
-        _t(-3, "a2", "c", ("b", 0, 2)),
-        _t(3, "a2", ("c", 0, 3)),
-        _t(-3, "a1", "c", ("a2", 0, 2)),
-        _t(-3, "a1", "c", ("b", 0, 2)),
-        _t(3, "a1", ("c", 0, 3)),
-        _t(-1, "f", "a1", "a2", "b"),
-    ))
+    def fiber(x: str, y: str) -> PolyIdentity:  # a1, or a2 with the roles swapped
+        return PolyIdentity(x, (
+            _t(3, (x, 1), y, "b", "c", "f"),
+            _t(-3, y, "f", ("b", 0, 2)),
+            _t(-3, y, "f", ("c", 0, 2)),
+            _t(3, y, "f", (x, 0, 2)),
+            _t(-9, "b", "c", (x, 0, 2)),
+            _t(9, "b", "c", (y, 0, 2)),
+            _t(1, ("f", 0, 2), "b", "c"),
+        ))
+
+    def base(x: str, o: str) -> PolyIdentity:  # b, or c with the roles swapped
+        return PolyIdentity(x, (
+            _t(6, (x, 1), "a1", "a2", "b", "c"),
+            _t(-3, "a2", x, ("a1", 0, 2)),
+            _t(-3, "a2", x, (o, 0, 2)),
+            _t(3, "a2", (x, 0, 3)),
+            _t(-3, "a1", x, ("a2", 0, 2)),
+            _t(-3, "a1", x, (o, 0, 2)),
+            _t(3, "a1", (x, 0, 3)),
+            _t(-1, "f", "a1", "a2", o),
+        ))
     i5 = PolyIdentity("f", (
         _t(6, ("f", 1), "a1", "a2", ("b", 0, 2), ("c", 0, 2)),
         _t(18, ("a1", 0, 2), ("b", 0, 2), ("c", 0, 2)),
@@ -139,7 +118,7 @@ def _s2_identities() -> list[PolyIdentity]:
         _t(1, ("f", 0, 2), "a1", "a2", ("c", 0, 2)),
         _t(1, ("f", 0, 2), "a1", "a2", ("b", 0, 2)),
     ))
-    return [i1, i2, i3, i4, i5]
+    return [fiber("a1", "a2"), fiber("a2", "a1"), base("b", "c"), base("c", "b"), i5]
 
 
 def _e1_metric_identity(x: str, others: tuple[str, str], weight2: Fraction) -> PolyIdentity:
@@ -274,3 +253,73 @@ def polynomialize(sys: SystemId) -> list[PolyIdentity]:
     if sys.kind == "E1":
         return _e1_identities(sys.aw.k, sys.aw.l)
     return _e2_identities()
+
+
+# -- compiled evaluation -----------------------------------------------------------
+
+
+def _monomial(coeff: Fraction, powers: Counter) -> str:
+    """Source of |coeff| * prod(factor ** power), the coefficient an integer ratio."""
+    names = [(("", "d_", "dd_")[d] + fn, p) for (fn, d), p in sorted(powers.items())]
+    num = [name for name, p in names for _ in range(p)]
+    den = [name for name, p in names for _ in range(-p)]
+    c = abs(coeff)
+    if c.numerator != 1 or not num:
+        num.insert(0, str(c.numerator))
+    if c.denominator != 1:
+        den.insert(0, str(c.denominator))
+    text = "*".join(num) + ("/" if den else "") + "*".join(den)
+    return text if len(den) < 2 else text.replace("/", "/(", 1) + ")"
+
+
+def _source(sys: SystemId, batch: bool) -> str:
+    fns, first = sys.functions, sys.is_first_order
+    exprs, checked = [], set()
+    for ident in polynomialize(sys):
+        if first:  # the one term in x' gives x' = -(the others) / (its cofactor)
+            (key,) = [t for t in ident.terms if (ident.label, 1) in t.factors]
+            base = Counter(key.factors) - Counter([(ident.label, 1)])
+        else:  # the lambda term is -lambda times the clearing multiplier
+            (key,) = [t for t in ident.terms if t.lam]
+            base = Counter(key.factors)
+        expr = ""
+        for term in ident.terms:
+            powers = Counter(term.factors + (("lam", 0),) * term.lam)
+            powers.subtract(base)
+            coeff = term.coeff / -key.coeff
+            if coeff and not (first and term is key):
+                expr += (" - " if coeff < 0 else " + ") + _monomial(coeff, powers)
+        exprs.append(expr[3:] if expr.startswith(" + ") else "-" + expr[3:])
+        checked.update(fn for fn, _ in base)
+    prefixes = ("",) if first else ("", "d_", "dd_")
+    return "\n".join([
+        "def flow(y):" if first else "def residual(y, d1, d2, lam):",
+        *(f"    {', '.join(p + fn for fn in fns)}, = {arg}"
+          for p, arg in zip(prefixes, ("y", "d1", "d2"))),
+        *(f"    if not {fn}{'.all()' if batch else ''}: raise ZeroDenominator({fn!r})"
+          for fn in fns if fn in checked),
+        "    return [", *(f"        {e}," for e in exprs), "    ]\n"])
+
+
+def compiled(sys: SystemId, batch: bool = False):
+    """The system as straight-line code, built and compiled once per system.
+
+    A first-order system gives flow(y) -> y': each identity has one term
+    c_0 M_0 x', so x' = -sum(c_i M_i) / (c_0 M_0) over its other terms.  An
+    Einstein system gives residual(y, d1, d2, lam) -> LHS - lambda per
+    equation: the identity over its clearing multiplier, which is minus the
+    factor of lambda in its lambda term.  y, d1 and d2 list the values (numpy
+    columns with batch) in the system's order.  The nonzero checks cover the
+    multipliers' factors in that order, so ZeroDenominator names the first
+    that vanished.  Coefficients are integer ratios, so the code runs exactly
+    on Fraction inputs.
+    """
+    return _compiled(sys, bool(batch))
+
+
+@cache
+def _compiled(sys: SystemId, batch: bool):
+    from .systems import ZeroDenominator  # systems imports this module
+    namespace = {"ZeroDenominator": ZeroDenominator}
+    exec(compile(_source(sys, batch), f"<awflow {sys.kind}>", "exec"), namespace)
+    return namespace["flow" if sys.is_first_order else "residual"]

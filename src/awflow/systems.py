@@ -2,9 +2,12 @@
 
 S1/S2 are the first-order holonomy-reduction systems for a generic and for
 the exceptional (1,1) principal orbit; E1/E2 are the corresponding
-second-order Einstein systems.  Evaluators are stateless plain arithmetic, so
-a state holding one numpy array per function is evaluated at every sample in
-one call; residuals take derivatives as explicit inputs.
+second-order Einstein systems.  Their equations are written once, as the
+term tables of `polyident`; `rhs_first_order` and `residual_einstein` are
+thin wrappers over the straight-line code that `polyident.compiled` builds
+from those tables.  The code is plain arithmetic, so a state holding one
+numpy array per function is evaluated at every sample in one call; residuals
+take derivatives as explicit inputs.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polyident import compiled
 from .reptheory import AloffWallach
 
 S1_FUNCTIONS = ("a", "b", "c", "f")
@@ -64,53 +68,20 @@ class State:
     t: float = 0.0
 
 
-def _require_nonzero(values: dict[str, float], names) -> None:
-    """Raise ZeroDenominator if a named value, or any entry of an array, is zero."""
-    for name in names:
-        v = values[name]
-        if not (v.all() if isinstance(v, np.ndarray) else v):
-            raise ZeroDenominator(name)
+def _compiled_at(sys: SystemId, st: State):
+    """The compiled code and the values; any numpy column makes all columns."""
+    y = [st.values[fn] for fn in sys.functions]
+    if any(isinstance(v, np.ndarray) for v in y):
+        return compiled(sys, batch=True), [np.asarray(v) for v in y]
+    return compiled(sys), y
 
 
 def rhs_first_order(sys: SystemId, st: State) -> dict[str, float]:
     """Right-hand side of the first-order holonomy system at a state."""
     if not sys.is_first_order:
         raise ValueError("rhs_first_order needs a first-order system")
-    v = st.values
-    if sys.kind == "S1":
-        _require_nonzero(v, ("a", "b", "c"))
-        k, l = sys.aw.k, sys.aw.l
-        twod = 2.0 * sys.aw.delta
-        a, b, c, f = v["a"], v["b"], v["c"], v["f"]
-        abc = a * b * c
-        return {
-            "a": a * ((b * b + c * c - a * a) / abc + (-k - l) / twod * f / (a * a)),
-            "b": b * ((c * c + a * a - b * b) / abc + l / twod * f / (b * b)),
-            "c": c * ((a * a + b * b - c * c) / abc + k / twod * f / (c * c)),
-            "f": f * (-(-k - l) / twod * f / (a * a)
-                      - l / twod * f / (b * b)
-                      - k / twod * f / (c * c)),
-        }
-    _require_nonzero(v, ("a1", "a2", "b", "c", "f"))
-    a1, a2, b, c, f = v["a1"], v["a2"], v["b"], v["c"], v["f"]
-    return {
-        "a1": a1 * ((b * b + c * c - a1 * a1) / (a1 * b * c)
-                    + 3.0 * (a1 * a1 - a2 * a2) / (a1 * a2 * f)
-                    - f / (3.0 * a1 * a2)),
-        "a2": a2 * ((b * b + c * c - a2 * a2) / (a2 * b * c)
-                    + 3.0 * (a2 * a2 - a1 * a1) / (a1 * a2 * f)
-                    - f / (3.0 * a1 * a2)),
-        "b": b * (0.5 * (a1 * a1 + c * c - b * b) / (a1 * b * c)
-                  + 0.5 * (a2 * a2 + c * c - b * b) / (a2 * b * c)
-                  + f / (6.0 * b * b)),
-        "c": c * (0.5 * (a1 * a1 + b * b - c * c) / (a1 * b * c)
-                  + 0.5 * (a2 * a2 + b * b - c * c) / (a2 * b * c)
-                  + f / (6.0 * c * c)),
-        "f": f * (-3.0 * (a1 - a2) ** 2 / (a1 * a2 * f)
-                  + f / (3.0 * a1 * a2)
-                  - f / (6.0 * b * b)
-                  - f / (6.0 * c * c)),
-    }
+    flow, y = _compiled_at(sys, st)
+    return dict(zip(sys.functions, flow(y)))
 
 
 def residual_einstein(sys: SystemId, st: State, d1: dict[str, float],
@@ -118,61 +89,9 @@ def residual_einstein(sys: SystemId, st: State, d1: dict[str, float],
     """LHS - lambda of each displayed Einstein equation (trace included)."""
     if sys.is_first_order:
         raise ValueError("residual_einstein needs an Einstein system (E1/E2)")
-    v = st.values
-    if sys.kind == "E1":
-        _require_nonzero(v, ("a", "b", "c", "f"))
-        k, l = sys.aw.k, sys.aw.l
-        dd = float(sys.aw.delta) ** 2
-        a, b, c, f = v["a"], v["b"], v["c"], v["f"]
-        da, db, dc, df = d1["a"], d1["b"], d1["c"], d1["f"]
-        S = 2 * da / a + 2 * db / b + 2 * dc / c + df / f
-        abc2 = a * a * b * b * c * c
-        res = [
-            -d2["a"] / a + (da / a) ** 2 - da / a * S + 6 / (a * a)
-            - 0.5 * (k + l) ** 2 / dd * f * f / a ** 4
-            + (a ** 4 - b ** 4 - c ** 4) / abc2 - lam,
-            -d2["b"] / b + (db / b) ** 2 - db / b * S + 6 / (b * b)
-            - 0.5 * l ** 2 / dd * f * f / b ** 4
-            + (b ** 4 - a ** 4 - c ** 4) / abc2 - lam,
-            -d2["c"] / c + (dc / c) ** 2 - dc / c * S + 6 / (c * c)
-            - 0.5 * k ** 2 / dd * f * f / c ** 4
-            + (c ** 4 - a ** 4 - b ** 4) / abc2 - lam,
-            -d2["f"] / f + (df / f) ** 2 - df / f * S
-            + 0.5 * (k + l) ** 2 / dd * f * f / a ** 4
-            + 0.5 * l ** 2 / dd * f * f / b ** 4
-            + 0.5 * k ** 2 / dd * f * f / c ** 4 - lam,
-            -2 * d2["a"] / a - 2 * d2["b"] / b - 2 * d2["c"] / c - d2["f"] / f - lam,
-        ]
-        return res
-    _require_nonzero(v, ("a1", "a2", "b", "c", "f"))
-    a1, a2, b, c, f = v["a1"], v["a2"], v["b"], v["c"], v["f"]
-    d_a1, d_a2, db, dc, df = d1["a1"], d1["a2"], d1["b"], d1["c"], d1["f"]
-    S = d_a1 / a1 + d_a2 / a2 + 2 * db / b + 2 * dc / c + df / f
-    res = [
-        -d2["a1"] / a1 + (d_a1 / a1) ** 2 - d_a1 / a1 * S + 6 / (a1 * a1)
-        - 2.0 / 9.0 * f * f / (a1 * a1 * a2 * a2)
-        + 18 * (a1 ** 4 - a2 ** 4) / (a1 * a1 * a2 * a2 * f * f)
-        + (a1 ** 4 - b ** 4 - c ** 4) / (a1 * a1 * b * b * c * c) - lam,
-        -d2["a2"] / a2 + (d_a2 / a2) ** 2 - d_a2 / a2 * S + 6 / (a2 * a2)
-        - 2.0 / 9.0 * f * f / (a1 * a1 * a2 * a2)
-        + 18 * (a2 ** 4 - a1 ** 4) / (a1 * a1 * a2 * a2 * f * f)
-        + (a2 ** 4 - b ** 4 - c ** 4) / (a2 * a2 * b * b * c * c) - lam,
-        -d2["b"] / b + (db / b) ** 2 - db / b * S + 6 / (b * b)
-        - f * f / (18 * b ** 4)
-        + (b ** 4 - a1 ** 4 - c ** 4) / (2 * a1 * a1 * b * b * c * c)
-        + (b ** 4 - a2 ** 4 - c ** 4) / (2 * a2 * a2 * b * b * c * c) - lam,
-        -d2["c"] / c + (dc / c) ** 2 - dc / c * S + 6 / (c * c)
-        - f * f / (18 * c ** 4)
-        + (c ** 4 - a1 ** 4 - b ** 4) / (2 * a1 * a1 * b * b * c * c)
-        + (c ** 4 - a2 ** 4 - b ** 4) / (2 * a2 * a2 * b * b * c * c) - lam,
-        -d2["f"] / f + (df / f) ** 2 - df / f * S + 36 / (f * f)
-        - 18 * a1 * a1 / (a2 * a2 * f * f) - 18 * a2 * a2 / (a1 * a1 * f * f)
-        + 2.0 / 9.0 * f * f / (a1 * a1 * a2 * a2)
-        + f * f / (18 * b ** 4) + f * f / (18 * c ** 4) - lam,
-        -d2["a1"] / a1 - d2["a2"] / a2 - 2 * d2["b"] / b - 2 * d2["c"] / c
-        - d2["f"] / f - lam,
-    ]
-    return res
+    residual, y = _compiled_at(sys, st)
+    return residual(y, [d1[fn] for fn in sys.functions],
+                    [d2[fn] for fn in sys.functions], lam)
 
 
 # -- symmetry maps ---------------------------------------------------------------

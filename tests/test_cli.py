@@ -147,6 +147,15 @@ class TestIntegrationReport:
         assert detail["n_steps"] >= 1024 and detail["n_rejected"] >= 0
         assert 0 < detail["h_min"] <= detail["h_max"] <= (0.2 - 1e-2) / 1024 * (1 + 1e-12)
 
+    def test_final_sliver_step_left_out_of_h_min(self, capsys):
+        # the last capped step falls 1.9e-15 short of t_end and is clipped
+        code, out, _ = run(capsys, "verify", "--case", "D", "--param", "b0=1",
+                           "--param", "f0=1", "--t-end", "0.2")
+        assert code == 0
+        detail = next(c["detail"] for c in json.loads(out)["checks"]
+                      if c["name"] == "integration")
+        assert detail["h_min"] > 1e-6
+
     def test_reversed_interval_is_usage_error(self, capsys):
         # the launch point t0 = 1e-2 lies beyond t_end
         code, _, err = run(capsys, "verify", "--case", "D", "--t-end", "0.005")

@@ -248,3 +248,74 @@ def test_scipy_stays_off_the_import_path():
     src = str(Path(integ.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def _mirrored_d_start():
+    # the mirrored five-sphere flow crosses a = 0 at the singular orbit
+    sol = solve_series("D", {"b0": 1, "f0": 1}, order=20)
+    vals = {fn: s.eval_float(0.1)[0] for fn, s in sol.functions.items()}
+    return sol.system(), State({"a": -vals["a"], "b": vals["c"], "c": vals["b"],
+                                "f": vals["f"]}, t=-0.1)
+
+
+def test_collapse_event_state_exactly_on_zero(monkeypatch):
+    # a crossing root can land on a = 0.0, where the flow is unbounded
+    real = integ._dopri5
+
+    def zeroing(*args):
+        run = real(*args)
+        kind, i, t_ev, y_ev = run.event
+        run.event = (kind, i, t_ev, [0.0 if j == i else v for j, v in enumerate(y_ev)])
+        return run
+
+    monkeypatch.setattr(integ, "_dopri5", zeroing)
+    sysid, start = _mirrored_d_start()
+    traj = integ.integrate(sysid, start, 0.5, 1e-10, collapse_eps=1e-6)
+    assert traj.termination == "function_zero:a"
+    assert traj.y[-1, 0] == 0.0
+    assert np.all(np.isinf(traj.d[-1])) and np.all(np.isfinite(traj.d[:-1]))
+    assert traj.stats["max_abs_dy"] == np.inf
+    # the row consumers leave the unbounded sample out or report it there
+    head = integ.Trajectory(system=sysid, t=traj.t[:-1], y=traj.y[:-1],
+                            d=traj.d[:-1], termination=traj.termination)
+    assert integ.first_order_defect(sysid, traj) == integ.first_order_defect(sysid, head)
+    mon = integ.monitor_residuals(sysid, traj, ["einstein_lambda0"])
+    assert mon["einstein_lambda0"] == {"max": np.inf, "argmax_t": traj.t[-1]}
+    integ.monitor_residuals(sysid, head, ["einstein_lambda0"])
+    assert np.array_equal(traj.stats["res_max_per_sample"][:-1],
+                          head.stats["res_max_per_sample"])
+    smap = next(m for m in symmetry_maps(sysid) if m.t_sign < 0)
+    moved = integ.transform_trajectory(smap, traj)
+    assert np.all(np.isinf(moved.d[0])) and np.all(np.isfinite(moved.d[1:]))
+
+
+def test_bisection_meets_its_tolerance():
+    eps = np.finfo(float).eps
+    for g, lo, hi, root in [(lambda x: x ** 3 - 2, 1.0, 2.0, 2 ** (1 / 3)),
+                            (lambda x: np.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+                            (lambda x: x - 0.25, 0.0, 1.0, 0.25),
+                            (lambda x: 0.25 - x, 0.0, 1.0, 0.25)]:
+        assert abs(integ._bisect(g, lo, hi) - root) <= 8 * eps
+    assert integ._bisect(lambda x: x, 0.0, 1.0) == 0.0
+    with pytest.raises(ValueError, match="same sign"):
+        integ._bisect(lambda x: x * x + 1, -1.0, 1.0)
+
+
+def test_events_leave_scipy_unimported():
+    # a blow-up and a collapse locate their roots without scipy
+    code = ("import sys; from awflow import integrate as integ; "
+            "from awflow.solver import solve_series; "
+            "from awflow.systems import State; "
+            "sol = solve_series('H', {'a0': 1, 'q': -1}, order=20); "
+            "traj = integ.integrate(sol.system(), integ.launch_state(sol, 1e-2), 1.0, "
+            "1e-10, blow_up=10); "
+            "assert traj.termination == 'blow_up', traj.termination; "
+            "sol = solve_series('D', {'b0': 1, 'f0': 1}, order=20); "
+            "v = {fn: s.eval_float(0.1)[0] for fn, s in sol.functions.items()}; "
+            "start = State({'a': -v['a'], 'b': v['c'], 'c': v['b'], 'f': v['f']}, t=-0.1); "
+            "traj = integ.integrate(sol.system(), start, 0.5, 1e-10, collapse_eps=1e-6); "
+            "assert traj.termination == 'function_zero:a', traj.termination; "
+            "assert 'scipy' not in sys.modules")
+    src = str(Path(integ.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
