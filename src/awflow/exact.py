@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -37,6 +38,23 @@ def rat_str(value) -> str:
     """Canonical "num/den" form used in all JSON output ("0/1" for zero)."""
     q = Fraction(value)
     return f"{q.numerator}/{q.denominator}"
+
+
+def ratio_sum(terms) -> Fraction:
+    """Sum of n/d over integer pairs (n, d) with d > 0, reduced once.
+
+    Numerators accumulate over a running common denominator, so a Cauchy sum
+    of k products costs one normalization instead of two per product.
+    """
+    num, den = 0, 1
+    for n, d in terms:
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
 
 
 class TruncSeries:
@@ -127,15 +145,13 @@ class TruncSeries:
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, TruncSeries):
             n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i, ci in enumerate(self.coef[: n + 1]):
-                if ci == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    cj = other.coef[j]
-                    if cj != 0:
-                        out[i + j] += ci * cj
-            return TruncSeries(out)
+            a = [(c.numerator, c.denominator) for c in self.coef[:n + 1]]
+            b = [(c.numerator, c.denominator) for c in other.coef[n::-1]]
+            # coefficient k pairs a[u] with b[k - u], which sits at n - k + u
+            return TruncSeries([
+                ratio_sum((x * y, dx * dy)
+                          for (x, dx), (y, dy) in zip(a[:k + 1], b[n - k:]) if x and y)
+                for k in range(n + 1)])
         q = rat(other)
         return TruncSeries([c * q for c in self.coef])
 

@@ -44,13 +44,13 @@ class PolyIdentity:
                 if lam is None:
                     raise ValueError(f"identity {self.label} needs a lambda value")
                 coeff = coeff * Fraction(lam) ** term.lam
-            prod = TruncSeries.const(coeff, out.order)
+            prod = None
             for fn, d in term.factors:
                 s = funcs[fn]
                 for _ in range(d):
                     s = s.derivative()
-                prod = prod * s
-            out = out + prod
+                prod = s.truncated(out.order) if prod is None else prod * s
+            out = out + (coeff if prod is None else prod * coeff)
         return out
 
 

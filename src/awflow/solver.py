@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
-from .exact import TruncSeries, rat, rat_str
+from .exact import TruncSeries, rat, rat_str, ratio_sum
 from .polyident import PolyIdentity, polynomialize
 from .reptheory import AloffWallach
 from .systems import SystemId
@@ -26,6 +25,24 @@ class InconsistentSystem(ValueError):
 
 
 # -- polynomial values over pending unknowns ------------------------------------
+
+
+def _accumulate(acc: dict, mon: dict, q: Fraction = Fraction(1)) -> None:
+    """Add q * mon to acc, which maps each monomial to the integer ratios
+    (n, d) of its terms; `_collect` sums each monomial once."""
+    qn, qd = q.numerator, q.denominator
+    for m, c in mon.items():
+        acc.setdefault(m, []).append((c.numerator * qn, c.denominator * qd))
+
+
+def _collect(acc: dict) -> "P":
+    """The polynomial of an accumulator; cancelled monomials are dropped."""
+    mon = {}
+    for m, terms in acc.items():
+        c = ratio_sum(terms)
+        if c:
+            mon[m] = c
+    return P(mon)
 
 
 class P:
@@ -72,35 +89,15 @@ class P:
                 out[m[0][0]] = c
         return out
 
-    def __add__(self, other: "P") -> "P":
-        mon = dict(self.mon)
-        for m, c in other.mon.items():
-            v = mon.get(m, Fraction(0)) + c
-            if v:
-                mon[m] = v
-            elif m in mon:
-                del mon[m]
-        return P(mon)
-
     def __mul__(self, other: "P") -> "P":
-        if not self.mon or not other.mon:
-            return P()
-        out: dict = {}
+        acc: dict = {}
         for m1, c1 in self.mon.items():
             for m2, c2 in other.mon.items():
-                if m1 and m2:
-                    acc = dict(m1)
-                    for p, e in m2:
-                        acc[p] = acc.get(p, 0) + e
-                    m = tuple(sorted(acc.items()))
-                else:
-                    m = m1 or m2
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return P(out)
+                powers = dict(m1)
+                for p, e in m2:
+                    powers[p] = powers.get(p, 0) + e
+                _accumulate(acc, {tuple(sorted(powers.items())): c2}, c1)
+        return _collect(acc)
 
     def scaled(self, q) -> "P":
         q = Fraction(q)
@@ -112,16 +109,22 @@ class P:
         """Replace resolved pendings; env values are degree <= 1."""
         if not any(p in env for m in self.mon for p, _ in m):
             return self
-        out = P()
+        acc: dict = {}
         for m, c in self.mon.items():
-            term = P.const(c)
-            for p, e in m:
-                rep = env.get(p)
-                base = rep if rep is not None else P.pending(p)
-                for _ in range(e):
-                    term = term * base
-            out = out + term
-        return out
+            if len(m) == 1 and m[0][1] == 1 and m[0][0] in env:
+                # a single pending to the first power: c times its substitute
+                _accumulate(acc, env[m[0][0]].mon, c)
+            elif not any(p in env for p, _ in m):
+                _accumulate(acc, {m: c})
+            else:
+                term = P.const(c)
+                for p, e in m:
+                    rep = env.get(p)
+                    base = rep if rep is not None else P.pending(p)
+                    for _ in range(e):
+                        term = term * base
+                _accumulate(acc, term.mon)
+        return _collect(acc)
 
 
 # -- streaming staircase solver ----------------------------------------------------
@@ -133,9 +136,6 @@ class _Pend:
     fn: str
     order: int
     step: int  # step at which the unknown was introduced
-
-
-_ZERO = Fraction(0)
 
 
 def _settled(poly: P) -> Fraction | P:
@@ -151,13 +151,17 @@ def _subst(value: Fraction | P, env: dict[int, P]) -> Fraction | P:
     return value if new is value else _settled(new)
 
 
-def _times(x: Fraction | P, y: Fraction | P) -> P:
-    """Product of two values at least one of which holds a live pending."""
-    if type(x) is Fraction:
-        return y.scaled(x)
+def _add_product(acc: dict, x: Fraction | P, y: Fraction | P) -> None:
+    """Add x * y to the accumulator."""
+    if type(x) is not Fraction:
+        x, y = y, x  # x is the settled factor if there is one
     if type(y) is Fraction:
-        return x.scaled(y)
-    return x * y
+        acc.setdefault((), []).append(
+            (x.numerator * y.numerator, x.denominator * y.denominator))
+    elif type(x) is Fraction:
+        _accumulate(acc, y.mon, x)
+    else:
+        _accumulate(acc, (x * y).mon)
 
 
 class _Stream:
@@ -169,8 +173,8 @@ class _Stream:
     `lag` steps is a free slot and consumes a value from the binder.
 
     Coefficients, prefix products and rows are plain Fractions once they
-    settle; a `P` is kept only for a value that still holds a live pending,
-    so Cauchy sums over settled pairs are Fraction arithmetic.
+    settle; a `P` is kept only for a value that still holds a live pending.
+    Cauchy sums and rows go through one accumulator, summed by `ratio_sum`.
     """
 
     def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
@@ -273,8 +277,7 @@ class _Stream:
     def _cauchy(self, left: list, right: list, j: int) -> Fraction | P:
         """Coefficient j of the product of two cached series."""
         env = self.env
-        num, den = 0, 1
-        poly = None
+        acc: dict = {}
         for u in range(j + 1):
             a = left[u]
             if type(a) is not Fraction:
@@ -286,35 +289,15 @@ class _Stream:
                 b = right[j - u] = _subst(b, env)
             if not b:
                 continue
-            if type(a) is Fraction and type(b) is Fraction:
-                # settled pairs sum over a common denominator, reduced once
-                n = a.numerator * b.numerator
-                d = a.denominator * b.denominator
-                if d == den:
-                    num += n
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) + n * (den // g)
-                    den = den // g * d
-            else:
-                term = _times(a, b)
-                poly = term if poly is None else poly + term
-        acc = Fraction(num, den)
-        return acc if poly is None else _settled(poly + P.const(acc))
+            _add_product(acc, a, b)
+        return _settled(_collect(acc))
 
     def _row(self, ident_idx: int, j: int) -> Fraction | P:
-        acc = _ZERO
-        poly = None
+        acc: dict = {}
         for coeff, factors in self._terms[ident_idx]:
-            if not coeff:
-                continue
-            entry = self._product(factors, j)
-            if type(entry) is Fraction:
-                acc += coeff * entry
-            else:
-                term = entry.scaled(coeff)
-                poly = term if poly is None else poly + term
-        return acc if poly is None else _settled(poly + P.const(acc))
+            if coeff:
+                _add_product(acc, coeff, self._product(factors, j))
+        return _settled(_collect(acc))
 
     # ---- elimination
 

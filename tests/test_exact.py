@@ -9,10 +9,24 @@ from awflow.exact import TruncSeries, rat, rat_str
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 series = st.lists(rationals, min_size=4, max_size=9).map(TruncSeries)
+# coefficients for the product kernel: zeros, signs and heights past 300 bits
+tall = st.builds(Fraction, st.integers(-2**400, 2**400), st.integers(1, 2**400))
+kernel_series = st.lists(st.one_of(st.just(Fraction(0)), rationals, tall),
+                         min_size=1, max_size=12).map(TruncSeries)
 
 
 def S(coeffs, order=None):
     return TruncSeries(coeffs, order=order)
+
+
+def schoolbook(a, b):
+    """Reference product: one Fraction multiply and add per pair."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coef[i] * b.coef[j]
+    return out
 
 
 class TestRational:
@@ -105,6 +119,26 @@ class TestTruncSeries:
     def test_json_round_trip(self):
         s = S([0, "5/3", -2, 0], order=5)
         assert TruncSeries.from_json(s.to_json()) == s
+
+    @given(a=kernel_series, b=kernel_series)
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_schoolbook(self, a, b):
+        assert list((a * b).coef) == schoolbook(a, b)
+
+    def test_mul_kernel_edge_cases(self):
+        big = Fraction(3**200 + 1, 2**310 - 1)
+        cases = [
+            (S([Fraction(-7, 3)]), S([Fraction(9, 14)])),       # order 0
+            (S([0, 0, 5]), S([0, -1, 0, 0, 2])),                # zeros, unequal
+            (S([big, -big, 0, 1 / big]), S([big, Fraction(-1, 3), big])),
+            (S([1, big]), S([1, -big])),                        # cancels at t^1
+        ]
+        for a, b in cases:
+            prod = a * b
+            assert list(prod.coef) == schoolbook(a, b)
+            assert prod.order == min(a.order, b.order)
+            assert all(type(c) is Fraction for c in prod.coef)
+        assert max(c.denominator.bit_length() for c in (cases[2][0] * cases[2][1])) > 300
 
     @given(a=series, b=series)
     @settings(max_examples=200, deadline=None)

@@ -237,7 +237,7 @@ class TestStepStats:
 
 
 def test_scipy_stays_off_the_import_path():
-    # scipy is imported only to locate an event's root
+    # awflow never imports scipy: the step loop and the event root are in-house
     code = ("import sys; from awflow import integrate as integ; "
             "from awflow.solver import solve_series; "
             "assert 'scipy' not in sys.modules; "

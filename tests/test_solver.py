@@ -1,13 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 
 from awflow.cases import CASES, ConstraintError, MissingSlotValue, get_case
 from awflow.exact import TruncSeries
 from awflow.polyident import polynomialize
 from awflow.reptheory import AloffWallach
-from awflow.solver import (InconsistentSystem, SeriesSolution, check_smoothness,
-                           einstein_series, free_slots, solve_series)
+from awflow.solver import (InconsistentSystem, P, SeriesSolution, _settled,
+                           check_smoothness, einstein_series, free_slots, solve_series)
 from awflow.systems import SystemId
 
 
@@ -376,3 +377,60 @@ class TestEinsteinCrossCheck:
         for ident in polynomialize(esys):
             res = ident.eval_series(sol.functions, lam=F(0))
             assert res.is_zero(), (cid, ident.label)
+
+
+def _to_sympy(poly):
+    return sum((sp.Rational(c.numerator, c.denominator)
+                * sp.Mul(*(sp.Symbol(f"x{p}") ** e for p, e in m))
+                for m, c in poly.mon.items()), sp.Integer(0))
+
+
+def _lin(const=0, **coeffs):
+    """Degree-1 polynomial: _lin(1, x2=3) is 3 x2 + 1."""
+    mon = {((int(name[1:]), 1),): F(c) for name, c in coeffs.items()}
+    if const:
+        mon[()] = F(const)
+    return P(mon)
+
+
+class TestSubstitution:
+    """P.subst against a sympy expansion of the same substitution."""
+
+    def check(self, poly, env):
+        got = poly.subst(env)
+        expect = sp.expand(_to_sympy(poly).subs(
+            {sp.Symbol(f"x{p}"): _to_sympy(v) for p, v in env.items()},
+            simultaneous=True))
+        assert sp.expand(_to_sympy(got) - expect) == 0
+        assert all(c != 0 and type(c) is F for c in got.mon.values())
+        assert all(list(m) == sorted(m) for m in got.mon)
+        return got
+
+    def test_degree_two_monomial(self):
+        # 3 x0^2 x1 - x1 + 5 with x0 -> 2 x2 + 1 and x1 -> x2 - 1/2
+        poly = P({((0, 2), (1, 1)): F(3), ((1, 1),): F(-1), (): F(5)})
+        got = self.check(poly, {0: _lin(1, x2=2), 1: _lin(F(-1, 2), x2=1)})
+        assert got.degree() == 3
+
+    def test_pending_missing_from_env(self):
+        poly = P({((0, 1), (3, 2)): F(2), ((3, 1),): F(-4), ((0, 1),): F(1, 7)})
+        got = self.check(poly, {0: _lin(-1, x5=F(1, 3))})
+        assert got.pids() == {3, 5}
+        untouched = P({((3, 1),): F(2)})
+        assert untouched.subst({0: _lin(1)}) is untouched
+
+    def test_cancellation_leaves_no_zero(self):
+        # x0 + x1 - 2 with x0 -> 2 - x1 vanishes; x0 x1 + x1 partly cancels
+        zero = self.check(P({((0, 1),): F(1), ((1, 1),): F(1), (): F(-2)}),
+                          {0: _lin(2, x1=-1)})
+        assert zero.mon == {}
+        assert _settled(zero) == 0 and type(_settled(zero)) is F
+        part = self.check(P({((0, 1), (1, 1)): F(1), ((1, 1),): F(1)}),
+                          {0: _lin(-1, x2=1)})
+        assert part.mon == {((1, 1), (2, 1)): F(1)}
+
+    def test_fully_resolved_value_settles_to_fraction(self):
+        poly = P({((0, 1), (1, 1)): F(2), ((0, 1),): F(1), (): F(-1, 3)})
+        value = _settled(self.check(poly, {0: P.const(3), 1: P.const(F(1, 2))}))
+        assert type(value) is F
+        assert value == F(17, 3)
