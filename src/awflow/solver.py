@@ -96,7 +96,8 @@ class P:
                 powers = dict(m1)
                 for p, e in m2:
                     powers[p] = powers.get(p, 0) + e
-                _accumulate(acc, {tuple(sorted(powers.items())): c2}, c1)
+                acc.setdefault(tuple(sorted(powers.items())), []).append(
+                    (c1.numerator * c2.numerator, c1.denominator * c2.denominator))
         return _collect(acc)
 
     def scaled(self, q) -> "P":

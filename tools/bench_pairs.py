@@ -2,16 +2,17 @@
 
 Run from the root of a source checkout:
 
-    python3 tools/bench_pairs.py --pr 8 --workload deep_series --pairs 10
-    python3 tools/bench_pairs.py --pr 8 --workload ladder scan tables --pairs 5
+    python3 tools/bench_pairs.py --pr 8 --base HEAD~1 --workload deep_series ladder
 
-The base revision (default HEAD) is exported with `git archive` into a
-temporary directory; the change is the working tree itself.  Each pair runs
-`perfbench/run.py` once on each side, untraced, with the order swapped on
-every other pair so a slow stretch of the machine does not always hit the same
-side.  For every end-to-end metric of BENCHMARK.json the file records both
-sides' medians and quartiles, and in how many pairs the change was better.
-Re-running with the same --pr merges the new workloads into the file.
+The base revision is exported with `git archive` into a temporary directory;
+the change is the working tree itself.  Each pair runs `perfbench/run.py` once
+on each side, untraced, at seed 1 and the `run_seconds` of BENCHMARK.json, with
+the order swapped on every other pair so a slow stretch of the machine does not
+always hit the same side.  For every end-to-end metric of BENCHMARK.json the
+file records both sides' medians and quartiles, and in how many pairs the
+change was better.  Re-running with the same --pr merges the new workloads
+into the file; each workload entry records the base, seed and run length it
+was measured with.
 """
 from __future__ import annotations
 
@@ -26,17 +27,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path.cwd()
+SEED = 1
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
     ap.add_argument("--workload", nargs="+", required=True)
-    ap.add_argument("--base", default="HEAD", help="git revision of the parent side")
+    ap.add_argument("--base", required=True, help="git revision of the parent side")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("quartiles need at least 2 pairs")
@@ -54,9 +53,9 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -86,26 +85,25 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     path = ROOT / f"BENCH_{args.pr}.json"
-    doc = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
+    doc = (json.loads(path.read_text()) if path.exists()
+           else {"command": bench["command"], "workloads": {}})
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
         sha = export(args.base, parent)
         sides = {"parent": parent, "change": ROOT}
-        doc.update({"base": sha, "command": bench["command"], "seed": args.seed,
-                    "seconds": seconds})
         for workload in args.workload:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, args.seed, seconds))
+                    runs[side].append(run_once(sides[side], workload, seconds))
                 print(f"{workload} pair {i + 1}: " + ", ".join(
                     f"{s} {runs[s][-1]['ops_per_s']:.3f}" for s in ("parent", "change")),
                     file=sys.stderr)
             doc["workloads"][workload] = {
-                "pairs": args.pairs,
+                "base": sha, "seed": SEED, "seconds": seconds, "pairs": args.pairs,
                 "all_correct": all(r["correct"] and r["failed"] == 0
                                    for side in runs.values() for r in side),
                 "metrics": summarize(runs, bench["end_to_end"]),
