@@ -99,11 +99,8 @@ def _cross_check_report(case, aw: AloffWallach, slots: list[tuple[str, int]]) ->
     # higher-order slots correspond to the second-derivative data of the
     # theory, shifted one order by the polar coordinate on the normal space
     spin7_higher = [s for s in slots if s[1] >= 2]
-    einstein_slots = None
+    einstein_slots = case.einstein.slots if case.einstein is not None else None
     theorem_vertical = case.vertical.theorem
-    if case.einstein is not None:
-        einstein_slots = ([(label, o) for _, label, o in case.einstein.combo_slots]
-                          + [(s.function, s.order) for s in case.einstein.coeff_slots])
     report = {
         "case": case.id,
         "k": aw.k,

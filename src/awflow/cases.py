@@ -71,6 +71,12 @@ class EinsteinSpec:
     coeff_slots: tuple[SlotSpec, ...]
     order1: Callable[[Params], Values]  # first derivatives of every function
 
+    @property
+    def slots(self) -> list[tuple[str, int]]:
+        """Reported free slots: combination labels, then coefficients."""
+        return ([(label, o) for _, label, o in self.combo_slots]
+                + [(s.function, s.order) for s in self.coeff_slots])
+
 
 @dataclass(frozen=True)
 class VerticalCount:

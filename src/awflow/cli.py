@@ -23,18 +23,22 @@ EXIT_CONSTRAINT = 3
 EXIT_SOLVER = 4
 
 
+def _exact(name: str, value: str) -> Fraction:
+    try:
+        return rat(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ConstraintError(
+            f"parameter {name!r} must be an exact rational 'p/q': {exc}"
+        ) from exc
+
+
 def _parse_params(items) -> dict[str, Fraction]:
     params = {}
     for item in items or []:
         if "=" not in item:
             raise ConstraintError(f"--param needs name=value, got {item!r}")
         name, _, value = item.partition("=")
-        try:
-            params[name.strip()] = rat(value)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ConstraintError(
-                f"parameter {name!r} must be an exact rational 'p/q': {exc}"
-            ) from exc
+        params[name.strip()] = _exact(name, value)
     return params
 
 
@@ -46,6 +50,8 @@ def cmd_dims(args) -> int:
             for part in parts:
                 rows.append({"m": m, "part": part, "dim": dim_W_s5(m, part)})
     else:
+        if args.k is None or args.l is None:
+            raise ValueError(f"--orbit {args.orbit} needs --k and --l")
         aw = AloffWallach(args.k, args.l)
         for m in range(args.m_max + 1):
             for part in parts:
@@ -66,7 +72,7 @@ def cmd_dims(args) -> int:
 def cmd_series(args) -> int:
     params = _parse_params(args.param)
     if args.einstein:
-        sol = einstein_series(args.case, params, rat(args.lam or 0),
+        sol = einstein_series(args.case, params, _exact("lambda", args.lam or "0"),
                               order=args.order, k=args.k, l=args.l)
     else:
         sol = solve_series(args.case, params, order=args.order,

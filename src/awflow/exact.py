@@ -85,21 +85,11 @@ class TruncSeries:
     def zero(cls, order: int) -> "TruncSeries":
         return cls([0], order=order)
 
-    @classmethod
-    def const(cls, value, order: int) -> "TruncSeries":
-        return cls([rat(value)], order=order)
-
     # -- basic interface -------------------------------------------------------
 
     @property
     def order(self) -> int:
         return len(self.coef) - 1
-
-    def __len__(self) -> int:
-        return len(self.coef)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coef[i]
 
     def __iter__(self):
         return iter(self.coef)
@@ -139,9 +129,6 @@ class TruncSeries:
     def __sub__(self, other) -> "TruncSeries":
         return self + (-other if isinstance(other, TruncSeries) else -rat(other))
 
-    def __rsub__(self, other) -> "TruncSeries":
-        return (-self) + rat(other)
-
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, TruncSeries):
             n = min(self.order, other.order)
@@ -156,14 +143,6 @@ class TruncSeries:
         return TruncSeries([c * q for c in self.coef])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative powers are not defined for truncated series")
-        out = TruncSeries.const(1, self.order)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- calculus and evaluation -----------------------------------------------
 

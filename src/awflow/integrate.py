@@ -23,6 +23,8 @@ from .systems import State, SystemId, ZeroDenominator, rhs_first_order, residual
 
 COLLAPSE_EPS = 1e-12
 BLOW_UP = 1e12
+# largest truncation proxy launch_state accepts, relative to the state's size
+LAUNCH_REL_TOL = 1e-10
 
 
 @dataclass
@@ -49,7 +51,7 @@ class Trajectory:
                 writer.writerow(row)
 
 
-def launch_state(sol: SeriesSolution, t0: float, rel_tol: float = 1e-10) -> State:
+def launch_state(sol: SeriesSolution, t0: float) -> State:
     """Evaluate the series at t0 > 0 and check the truncation-error proxy."""
     if t0 <= 0:
         raise ValueError("t0 must be positive: the series is singular at t = 0")
@@ -61,10 +63,10 @@ def launch_state(sol: SeriesSolution, t0: float, rel_tol: float = 1e-10) -> Stat
     # the state's own size sets the scale, so y -> s*y(t/s) launches alike
     scale = max(abs(v) for v in values.values())
     for fn, tail in tails.items():
-        if tail > rel_tol * scale:
+        if tail > LAUNCH_REL_TOL * scale:
             raise ValueError(
                 f"t0 too large for series order: {fn} truncation proxy "
-                f"{tail:.2e} exceeds {rel_tol:.0e} * {scale:.2e}"
+                f"{tail:.2e} exceeds {LAUNCH_REL_TOL:.0e} * {scale:.2e}"
             )
     return State(values, t=t0)
 

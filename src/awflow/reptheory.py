@@ -56,13 +56,6 @@ class TorusModuleSum:
     def total_dim(self) -> int:
         return 2 * sum(self.weights.values()) + self.trivial
 
-    def to_json(self) -> dict:
-        rows = [
-            {"r": r, "s": s, "mult": m}
-            for (r, s), m in sorted(self.weights.items())
-        ]
-        return {"weights": rows, "trivial": self.trivial}
-
 
 def isotropy_modules(aw: AloffWallach) -> dict[str, tuple[int, int]]:
     """Torus weights of the three 2-dim tangent modules and the normal disc."""
@@ -178,13 +171,6 @@ class Su2ModuleSum:
             ((w + 1) if kind == "R" else 2 * (w + 1)) * m
             for (w, kind), m in self.entries.items()
         )
-
-    def to_json(self) -> dict:
-        rows = [
-            {"weight": w, "type": kind, "mult": m}
-            for (w, kind), m in sorted(self.entries.items())
-        ]
-        return {"entries": rows}
 
 
 def su2_sym_power(m: int) -> Su2ModuleSum:

@@ -136,7 +136,6 @@ class _Pend:
     pid: int
     fn: str
     order: int
-    step: int  # step at which the unknown was introduced
 
 
 def _settled(poly: P) -> Fraction | P:
@@ -170,8 +169,10 @@ class _Stream:
 
     Rows that are affine in the pending coefficients are eliminated exactly;
     rows of higher degree wait (later eliminations and slot bindings
-    linearize them).  A pending that outlives its determination window by
-    `lag` steps is a free slot and consumes a value from the binder.
+    linearize them).  The system order d is the highest derivative in the
+    identities: coefficient o is introduced at step o - d, and a pending
+    still live at step o + d (a lag of 2d) is a free slot and consumes a
+    value from the binder.
 
     Coefficients, prefix products and rows are plain Fractions once they
     settle; a `P` is kept only for a value that still holds a live pending.
@@ -179,15 +180,15 @@ class _Stream:
     """
 
     def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
-                 target_order: int, d: int, seeds: dict[tuple[str, int], Fraction],
-                 slot_binder, lam: Fraction | None, lag: int = 2,
-                 avoid_pivot: frozenset[tuple[str, int]] = frozenset()):
+                 target_order: int, seeds: dict[tuple[str, int], Fraction],
+                 slot_binder, lam: Fraction | None,
+                 avoid_pivot: frozenset[tuple[str, int]]):
         self.identities = identities
         self.functions = functions
-        self.d = d
-        self.lag = lag
+        self.d = max(dord for ident in identities for term in ident.terms
+                     for _, dord in term.factors)
         self.target = target_order
-        self.internal = target_order + d + lag
+        self.internal = target_order + 3 * self.d
         self.slot_binder = slot_binder
         self.avoid_pivot = avoid_pivot
         self.coeffs: dict[str, list[Fraction | P | None]] = {
@@ -228,14 +229,14 @@ class _Stream:
 
     # ---- coefficient bookkeeping
 
-    def _introduce(self, order: int, step: int) -> list[str]:
+    def _introduce(self, order: int) -> list[str]:
         fresh = []
         for fn in self.functions:
             if self.coeffs[fn][order] is None:
                 pid = self._next_pid
                 self._next_pid += 1
                 self.coeffs[fn][order] = P.pending(pid)
-                self.live[pid] = _Pend(pid, fn, order, step)
+                self.live[pid] = _Pend(pid, fn, order)
                 fresh.append(f"{fn}[{order}]")
         return fresh
 
@@ -348,7 +349,7 @@ class _Stream:
         self._resolve(pend.pid, P.const(value))
 
     def _overdue(self, j: int) -> list[_Pend]:
-        due = [p for p in self.live.values() if p.order <= j + self.d - self.lag]
+        due = [p for p in self.live.values() if p.order <= j - self.d]
         return sorted(due, key=lambda p: (p.order, p.fn))
 
     # ---- main loop
@@ -358,8 +359,8 @@ class _Stream:
         for j in range(0, self.internal - self.d + 1):
             log = {"order": j, "introduced": [], "resolved": [], "free": [],
                    "rank": 0}
-            for o in range(0, min(j + self.d, self.internal) + 1):
-                log["introduced"].extend(self._introduce(o, j))
+            for o in range(j + self.d + 1):
+                log["introduced"].extend(self._introduce(o))
             queue = deferred + [
                 (ident.label, self._row(i, j))
                 for i, ident in enumerate(self.identities)
@@ -372,14 +373,7 @@ class _Stream:
                     self._bind(pend, log)
                     deferred = self._drain(deferred, j, log)
             self.diagnostics.append(log)
-        log = {"order": "final", "introduced": [], "resolved": [], "free": [],
-               "rank": 0}
-        for pend in sorted(list(self.live.values()), key=lambda p: (p.order, p.fn)):
-            if pend.pid in self.live and pend.order <= self.target:
-                self._bind(pend, log)
-                deferred = self._drain(deferred, "final", log)
-        if log["resolved"] or log["free"]:
-            self.diagnostics.append(log)
+        # after the last step every live pending has order > target + d
         for label, row in deferred:
             row = _subst(row, self.env)
             if type(row) is Fraction:
@@ -396,7 +390,7 @@ class _Stream:
                     "the case seed data is incomplete"
                 )
 
-    def _drain(self, queue: list[tuple[str, Fraction | P]], j, log: dict
+    def _drain(self, queue: list[tuple[str, Fraction | P]], j: int, log: dict
                ) -> list[tuple[str, Fraction | P]]:
         while True:
             progressed = False
@@ -500,6 +494,20 @@ def _split_params(case: OrbitCase, params: dict) -> tuple[dict, dict]:
     return init_params, slot_params
 
 
+def _run(case: OrbitCase, aw: AloffWallach, seeds: dict, order: int, binder,
+         lam: Fraction | None = None) -> _Stream:
+    """Run the staircase of the holonomy system, or with lam its Einstein
+    system, never pivoting a cataloged slot coefficient."""
+    sysid = case.system(aw)
+    if lam is not None:
+        sysid = sysid.einstein()
+    avoid = frozenset((s.function, s.order) for s in case.slots)
+    stream = _Stream(polynomialize(sysid), sysid.functions, order, seeds, binder,
+                     lam, avoid)
+    stream.run()
+    return stream
+
+
 def solve_series(case: OrbitCase | str, params: dict, order: int = 20,
                  k: int | None = None, l: int | None = None) -> SeriesSolution:
     """Exact power-series solution of a cataloged singular IVP."""
@@ -525,11 +533,7 @@ def solve_series(case: OrbitCase | str, params: dict, order: int = 20,
             raise MissingSlotValue(fn, o, spec.param)
         return slot_params[spec.param] * spec.scale(init_params)
 
-    sysid = case.system(aw)
-    stream = _Stream(polynomialize(sysid), sysid.functions, order, d=1,
-                     seeds=seeds, slot_binder=binder, lam=None,
-                     avoid_pivot=frozenset(by_coeff))
-    stream.run()
+    stream = _run(case, aw, seeds, order, binder)
     missing = set(by_coeff) - set(stream.free_slots_found)
     if missing:
         raise InconsistentSystem(
@@ -562,12 +566,7 @@ def free_slots(case: OrbitCase | str, order: int = 8, params: dict | None = None
         found.append((fn, o))
         return rat(probe)
 
-    sysid = case.system(aw)
-    avoid = frozenset((s.function, s.order) for s in case.slots)
-    stream = _Stream(polynomialize(sysid), sysid.functions, order, d=1,
-                     seeds=seeds, slot_binder=binder, lam=None,
-                     avoid_pivot=avoid)
-    stream.run()
+    _run(case, aw, seeds, order, binder)
     return sorted(found, key=lambda s: (s[1], s[0]))
 
 
@@ -590,6 +589,10 @@ def einstein_series(case: OrbitCase | str, params: dict, lam, order: int = 10,
         raise ConstraintError(
             f"case {case.id} has no diagonal Einstein solve (flag and "
             "five-sphere orbits only)"
+        )
+    if order < 3:
+        raise ConstraintError(
+            f"the Einstein series of case {case.id} needs order >= 3, got {order}"
         )
     lam = rat(lam)
     aw = case.resolve_aw(k, l)
@@ -660,8 +663,6 @@ def _einstein_flag(case, spec, aw, params, init_params, lam, order):
     if 6 * sol.functions["f"].coef[3] != f3:  # pragma: no cover
         raise InconsistentSystem("cone-datum calibration failed")
     sol.bound_params = dict(params)
-    sol.free_slots_found = ([(label, o) for _, label, o in spec.combo_slots]
-                            + [(s.function, s.order) for s in spec.coeff_slots])
     return sol
 
 
@@ -673,16 +674,10 @@ def _einstein_run(case, spec, aw, params, lam, order):
             f"unexpected Einstein free direction ({fn}, {o}) for case {case.id}"
         )
 
-    sysid = case.system(aw).einstein()
-    # the collapsing-function identities lag further for second-order systems
-    stream = _Stream(polynomialize(sysid), sysid.functions, order, d=2,
-                     seeds=seeds, slot_binder=binder, lam=lam, lag=4)
-    stream.run()
-    slots = [(label, o) for _, label, o in spec.combo_slots]
-    slots += [(s.function, s.order) for s in spec.coeff_slots]
+    stream = _run(case, aw, seeds, order, binder, lam)
     return SeriesSolution(
         case=case, aw=aw, functions=stream.series(), bound_params=dict(params),
-        free_slots_found=slots, diagnostics=stream.diagnostics,
+        free_slots_found=spec.slots, diagnostics=stream.diagnostics,
         einstein_lambda=lam,
     )
 

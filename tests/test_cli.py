@@ -162,3 +162,22 @@ class TestIntegrationReport:
         assert code == 2
         assert "t_end > t0" in err
         assert "t0 = 0.01, t_end = 0.005" in err
+
+
+_FLAG_EINSTEIN = ("series", "--case", "C", "--param", "a0=1", "--param", "b0=1",
+                  "--param", "c0=1", "--param", "f3=1", "--einstein")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (_FLAG_EINSTEIN + ("--lambda", "1", "--order", "2"), 3, "needs order >= 3, got 2"),
+    (("series", "--case", "D", "--param", "b0=1", "--param", "f0=1", "--einstein",
+      "--lambda", "1", "--order", "2"), 3, "needs order >= 3, got 2"),
+    (_FLAG_EINSTEIN + ("--lambda", "1/0"), 3, "must be an exact rational"),
+    (_FLAG_EINSTEIN + ("--lambda", "1.5"), 3, "must be an exact rational"),
+    (("dims", "--orbit", "u12"), 2, "needs --k and --l"),
+], ids=["C-order-2", "D-order-2", "lambda-1/0", "lambda-float", "dims-no-kl"])
+def test_bad_input_ends_in_typed_exit(capsys, argv, code, message):
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err
