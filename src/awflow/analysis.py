@@ -147,6 +147,10 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
     sol = solve_series(case, params, order=order, k=k, l=l)
     if fault_inject is not None:
         fn, i = fault_inject
+        if fn not in sol.functions or not 0 <= i <= order:
+            raise ValueError(f"fault injection needs a function of "
+                             f"{sorted(sol.functions)} and an order in 0..{order}, "
+                             f"got {fn}:{i}")
         coef = list(sol.functions[fn].coef)
         coef[i] = coef[i] + 1 if coef[i] == 0 else -coef[i]
         sol.functions[fn] = type(sol.functions[fn])(coef)

@@ -44,6 +44,8 @@ def _parse_params(items) -> dict[str, Fraction]:
 
 def cmd_dims(args) -> int:
     rows = []
+    if args.m_max < 0:
+        raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
     parts = [args.part] if args.part else ["h", "v"]
     if args.orbit == "s5":
         for m in range(args.m_max + 1):

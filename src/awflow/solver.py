@@ -102,8 +102,6 @@ class P:
 
     def scaled(self, q) -> "P":
         q = Fraction(q)
-        if q == 0:
-            return P()
         return P({m: c * q for m, c in self.mon.items()})
 
     def subst(self, env: dict[int, "P"]) -> "P":
@@ -129,13 +127,6 @@ class P:
 
 
 # -- streaming staircase solver ----------------------------------------------------
-
-
-@dataclass
-class _Pend:
-    pid: int
-    fn: str
-    order: int
 
 
 def _settled(poly: P) -> Fraction | P:
@@ -197,7 +188,7 @@ class _Stream:
         for (fn, o), v in seeds.items():
             self.coeffs[fn][o] = Fraction(v)
         self.env: dict[int, P] = {}
-        self.live: dict[int, _Pend] = {}
+        self.live: dict[int, tuple[str, int]] = {}  # pid -> (fn, order)
         self._next_pid = 0
         self.diagnostics: list[dict] = []
         self.free_slots_found: list[tuple[str, int]] = []
@@ -236,7 +227,7 @@ class _Stream:
                 pid = self._next_pid
                 self._next_pid += 1
                 self.coeffs[fn][order] = P.pending(pid)
-                self.live[pid] = _Pend(pid, fn, order)
+                self.live[pid] = (fn, order)
                 fresh.append(f"{fn}[{order}]")
         return fresh
 
@@ -328,29 +319,29 @@ class _Stream:
         # available, so the free direction is reported in the cataloged
         # coordinates; otherwise resolve the freshest unknown first
         def rank_key(p):
-            pend = self.live[p]
-            return ((pend.fn, pend.order) not in self.avoid_pivot, pend.order, p)
+            return (self.live[p] not in self.avoid_pivot, self.live[p][1], p)
 
         pivot = max(lin, key=rank_key)
-        pend = self.live[pivot]
+        fn, order = self.live[pivot]
         cp = lin[pivot]
         rest = P({m: c for m, c in row.mon.items() if not (m and m[0][0] == pivot)})
         self._resolve(pivot, rest.scaled(Fraction(-1) / cp))
         log["rank"] += 1
-        log["resolved"].append(f"{pend.fn}[{pend.order}]")
+        log["resolved"].append(f"{fn}[{order}]")
         return True
 
     # ---- slot binding
 
-    def _bind(self, pend: _Pend, log: dict) -> None:
-        value = self.slot_binder(pend.fn, pend.order)
-        self.free_slots_found.append((pend.fn, pend.order))
-        log["free"].append(f"{pend.fn}[{pend.order}]")
-        self._resolve(pend.pid, P.const(value))
+    def _bind(self, pid: int, log: dict) -> None:
+        fn, order = self.live[pid]
+        value = self.slot_binder(fn, order)
+        self.free_slots_found.append((fn, order))
+        log["free"].append(f"{fn}[{order}]")
+        self._resolve(pid, P.const(value))
 
-    def _overdue(self, j: int) -> list[_Pend]:
-        due = [p for p in self.live.values() if p.order <= j - self.d]
-        return sorted(due, key=lambda p: (p.order, p.fn))
+    def _overdue(self, j: int) -> list[int]:
+        due = [p for p, (_, order) in self.live.items() if order <= j - self.d]
+        return sorted(due, key=lambda p: (self.live[p][1], self.live[p][0]))
 
     # ---- main loop
 
@@ -368,27 +359,14 @@ class _Stream:
             deferred = self._drain(queue, j, log)
             # a free slot is bound only when elimination has stalled, so a
             # deferred row cannot still determine the coefficient
-            for pend in self._overdue(j):
-                if pend.pid in self.live:
-                    self._bind(pend, log)
+            for pid in self._overdue(j):
+                if pid in self.live:
+                    self._bind(pid, log)
                     deferred = self._drain(deferred, j, log)
             self.diagnostics.append(log)
-        # after the last step every live pending has order > target + d
-        for label, row in deferred:
-            row = _subst(row, self.env)
-            if type(row) is Fraction:
-                if row != 0:
-                    raise InconsistentSystem(
-                        f"no formal solution: deferred row of identity "
-                        f"{label!r} reduces to {row} = 0"
-                    )
-            elif all(self.live[p].order > self.target for p in row.pids()):
-                continue  # constrains only coefficients beyond the truncation
-            else:
-                raise InconsistentSystem(
-                    f"nonlinear row of identity {label!r} left unresolved; "
-                    "the case seed data is incomplete"
-                )
+        # no row is left deferred: every live pending has order > target + d,
+        # and a row of step j <= target + 2d has factor orders summing to at
+        # most j + 2d < 2 (target + d + 1) (target > 2d - 2), so it is affine
 
     def _drain(self, queue: list[tuple[str, Fraction | P]], j: int, log: dict
                ) -> list[tuple[str, Fraction | P]]:
@@ -597,13 +575,9 @@ def einstein_series(case: OrbitCase | str, params: dict, lam, order: int = 10,
     lam = rat(lam)
     aw = case.resolve_aw(k, l)
     params = {key: rat(v) for key, v in params.items()}
-    combo_names = {p for p, _, _ in spec.combo_slots}
-    coeff_names = {s.param for s in spec.coeff_slots}
-    extra = {"f1", "a3"} | combo_names | coeff_names
-    init_params = {key: v for key, v in params.items() if key not in extra}
     if case.orbit == "s5":
         return _einstein_sphere(case, spec, aw, params, lam, order)
-    return _einstein_flag(case, spec, aw, params, init_params, lam, order)
+    return _einstein_flag(case, spec, aw, params, lam, order)
 
 
 def _einstein_sphere(case, spec, aw, params, lam, order):
@@ -627,19 +601,19 @@ def _einstein_sphere(case, spec, aw, params, lam, order):
     return sol
 
 
-def _einstein_flag(case, spec, aw, params, init_params, lam, order):
+def _einstein_flag(case, spec, aw, params, lam, order):
     """Flag-orbit Einstein solve: realize the f'''(0) slot via the cone datum."""
     fslot = spec.coeff_slots[0]
     if "f1" in params:
         if params["f1"] == 0:
-            return _einstein_degenerate(case, init_params, params, lam, order, aw)
+            return _einstein_degenerate(case, params, lam, order, aw)
         return _einstein_run(case, spec, aw, params, lam, order)
     if fslot.param not in params:
         raise MissingSlotValue(fslot.function, fslot.order, fslot.param)
     f3 = params[fslot.param]
     combo = {p: params.get(p, Fraction(0)) for p, _, _ in spec.combo_slots}
     if f3 == 0:
-        return _einstein_degenerate(case, init_params, params, lam, order, aw)
+        return _einstein_degenerate(case, params, lam, order, aw)
     if any(v != 0 for v in combo.values()):
         raise ConstraintError(
             "with a nonzero first-derivative datum the cone datum is not "
@@ -682,8 +656,7 @@ def _einstein_run(case, spec, aw, params, lam, order):
     )
 
 
-def _einstein_degenerate(case: OrbitCase, init_params: dict, params: dict,
-                         lam: Fraction, order: int,
+def _einstein_degenerate(case: OrbitCase, params: dict, lam: Fraction, order: int,
                          aw: AloffWallach) -> SeriesSolution:
     """The f == 0 branch: the cleared Einstein identities degenerate.
 
@@ -700,7 +673,7 @@ def _einstein_degenerate(case: OrbitCase, init_params: dict, params: dict,
             "f'''(0) = 0 forces the degenerate f == 0 branch, which is "
             "Ricci-flat only; pass lambda 0"
         )
-    base = solve_series(case, init_params, order=order, k=aw.k, l=aw.l)
+    base = solve_series(case, params, order=order, k=aw.k, l=aw.l)
     sol = SeriesSolution(
         case=case, aw=aw, functions=base.functions, bound_params=params,
         free_slots_found=[("f", 3)], diagnostics=base.diagnostics,

@@ -181,3 +181,40 @@ def test_bad_input_ends_in_typed_exit(capsys, argv, code, message):
     assert got == code
     assert message in err
     assert "Traceback" not in err
+
+
+_FAULTY_D = ("verify", "--case", "D", "--fault-inject")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_FAULTY_D + ("b:99",), "an order in 0..20, got b:99"),
+    (_FAULTY_D + ("b:-1",), "an order in 0..20, got b:-1"),
+    (_FAULTY_D + ("zz:3",), "a function of ['a', 'b', 'c', 'f'] and an order in 0..20, "
+                            "got zz:3"),
+    (("dims", "--orbit", "s5", "--m-max", "-3"), "--m-max must be >= 0, got -3"),
+], ids=["fault-order-high", "fault-order-negative", "fault-function", "dims-m-max"])
+def test_out_of_range_input_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("csv", "m,part,dim\n0,h,2\n0,v,1\n1,h,3\n1,v,0\n2,h,2\n2,v,2\n"),
+    ("pretty", "m= 0  part=h  dim=2\nm= 0  part=v  dim=1\nm= 1  part=h  dim=3\n"
+               "m= 1  part=v  dim=0\nm= 2  part=h  dim=2\nm= 2  part=v  dim=2\n"),
+])
+def test_dims_text_formats(capsys, fmt, expected):
+    code, out, _ = run(capsys, "dims", "--orbit", "s5", "--m-max", "2",
+                       "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
+def test_param_without_equals_is_constraint_error(capsys):
+    code, _, err = run(capsys, "series", "--case", "D", "--param", "b0",
+                       "--param", "f0=1")
+    assert code == 3
+    assert "--param needs name=value, got 'b0'" in err

@@ -116,3 +116,25 @@ def test_vanishing_digest(kl):
     exact = _sha({"f_coefficients": trace["f_coefficients"],
                   "all_zero": trace["all_zero"]})
     assert (exact, _sha(trace["induction_trace"])) == VANISHING_DIGESTS[kl]
+
+
+@pytest.mark.parametrize("cid", sorted(SERIES_POINTS))
+def test_low_order_solve_is_a_prefix(cid):
+    params, kw = SERIES_POINTS[cid]
+    full = solve_series(cid, params, order=20, **kw)
+    lowest = max((s.order for s in full.case.slots), default=0) + 1
+    for order in range(lowest, 9):
+        sol = solve_series(cid, params, order=order, **kw)
+        assert sol.free_slots_found == full.free_slots_found
+        for fn, s in sol.functions.items():
+            assert s.coef == full.functions[fn].coef[:order + 1], (fn, order)
+
+
+@pytest.mark.parametrize("label", sorted(EINSTEIN_POINTS))
+def test_low_order_einstein_solve_is_a_prefix(label):
+    cid, params, lam, kw = EINSTEIN_POINTS[label]
+    full = einstein_series(cid, params, lam, order=10, **kw)
+    for order in range(3, 9):
+        sol = einstein_series(cid, params, lam, order=order, **kw)
+        for fn, s in sol.functions.items():
+            assert s.coef == full.functions[fn].coef[:order + 1], (fn, order)
