@@ -1,7 +1,8 @@
 """Command-line surface: dimension tables, series solving, verification.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage, 3 constraint violation,
-4 solver inconsistency.
+4 solver inconsistency, 5 numerical failure (a launch or an integration that
+cannot proceed).
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from fractions import Fraction
 from .analysis import verify_case
 from .cases import CASES, ConstraintError, catalog_json, get_case
 from .exact import rat
+from .integrate import TOL_RATIO, NumericalFailure
 from .reptheory import AloffWallach, dim_W, dim_W_s5
 from .solver import InconsistentSystem, einstein_series, solve_series
 
@@ -21,6 +23,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CONSTRAINT = 3
 EXIT_SOLVER = 4
+EXIT_NUMERICAL = 5
 
 
 def _exact(name: str, value: str) -> Fraction:
@@ -176,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="NAME=P/Q")
     p.add_argument("--t0", type=float, default=1e-2)
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="continuation tolerance; the DOP853 step loop runs at "
+                        f"rtol = atol = TOL / {TOL_RATIO}")
     p.add_argument("--order", type=int, default=20)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
@@ -200,6 +205,9 @@ def main(argv=None) -> int:
     except InconsistentSystem as exc:
         print(f"solver inconsistency: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

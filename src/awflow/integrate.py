@@ -1,30 +1,41 @@
 """Numerical continuation of series solutions away from the singular orbit.
 
 A series solution is evaluated at a small t0 > 0 to launch an adaptive
-Dormand-Prince 5(4) integration of the first-order system, a step loop on
-plain floats that takes the same steps as scipy's RK45.  Residual monitors
-evaluate the Einstein equations (second derivatives by the chain rule, from one
-complex step along the flow), the reduced-holonomy constraint, and mirror identities
-along the trajectory.  Everything that reads a stored trajectory evaluates the
-system once over all samples, on arrays of shape (samples, functions).
+Dormand-Prince 8(5,3) integration (DOP853) of the first-order system, a step
+loop on plain floats that takes the same steps as scipy's DOP853.  The step
+size follows the tolerance alone, and the samples are read off each step's
+seventh-order continuous extension.  Residual monitors evaluate the Einstein
+equations (second derivatives by the chain rule, from one complex step along
+the flow), the reduced-holonomy constraint, and mirror identities along the
+trajectory.  Everything that reads a stored trajectory evaluates the system
+once over all samples, on arrays of shape (samples, functions).
 """
 from __future__ import annotations
 
 import csv
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import mul, truediv
 
 import numpy as np
 
 from .polyident import compiled
 from .solver import SeriesSolution
-from .systems import State, SystemId, ZeroDenominator, rhs_first_order, residual_einstein
+from .systems import State, SystemId, ZeroDenominator, residual_einstein
 
 COLLAPSE_EPS = 1e-12
 BLOW_UP = 1e12
 # largest truncation proxy launch_state accepts, relative to the state's size
 LAUNCH_REL_TOL = 1e-10
+# the step loop runs at rtol = atol = tol / TOL_RATIO: at the verify default
+# tol = 1e-10 that keeps the defect and the monitors within their gates
+TOL_RATIO = 100
+
+
+class NumericalFailure(ValueError):
+    """A launch or an integration that cannot proceed from the given data."""
 
 
 @dataclass
@@ -64,7 +75,7 @@ def launch_state(sol: SeriesSolution, t0: float) -> State:
     scale = max(abs(v) for v in values.values())
     for fn, tail in tails.items():
         if tail > LAUNCH_REL_TOL * scale:
-            raise ValueError(
+            raise NumericalFailure(
                 f"t0 too large for series order: {fn} truncation proxy "
                 f"{tail:.2e} exceeds {LAUNCH_REL_TOL:.0e} * {scale:.2e}"
             )
@@ -73,14 +84,12 @@ def launch_state(sol: SeriesSolution, t0: float) -> State:
 
 def integrate(sys: SystemId, start: State, t_end: float, tol: float,
               n_samples: int = 1024, collapse_eps: float = COLLAPSE_EPS,
-              blow_up: float = BLOW_UP, step_cap: bool = True) -> Trajectory:
-    """Adaptive RK5(4) continuation with collapse and blow-up events.
+              blow_up: float = BLOW_UP) -> Trajectory:
+    """Adaptive DOP853 continuation with collapse and blow-up events.
 
-    The samples lie on an even grid and are read off each step's quartic
-    interpolant.  With step_cap the step size is bounded by the sample
-    spacing, so every sample sits inside a step no longer than that spacing;
-    without it the error is purely tolerance-controlled (used by the
-    convergence-order probe).
+    The step loop runs at rtol = atol = tol / TOL_RATIO, with no bound on the
+    step size.  The samples lie on an even grid and are read off each step's
+    seventh-order interpolant.
     """
     if not sys.is_first_order:
         raise ValueError("integrate needs a first-order system")
@@ -91,22 +100,22 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
         raise ValueError(f"integration needs t_end > t0, got t0 = {t0:g}, "
                          f"t_end = {t_end:g}")
     fns = sys.functions
-    if tol < 100 * _EPS:
+    rtol = atol = tol / TOL_RATIO
+    if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
                       stacklevel=2)
-    rtol = max(tol, 100 * _EPS)
+    rtol = max(rtol, 100 * _EPS)
     y0 = [float(start.values[fn]) for fn in fns]
     n_eval = max(n_samples, 200)
     # an identically-zero function is an invariant subspace: no collapse event
     live = [i for i, v in enumerate(y0) if abs(v) > collapse_eps]
     try:
-        run = _dopri5(compiled(sys), t0, y0, t_end, rtol, tol,
-                      (t_end - t0) / n_eval if step_cap else math.inf,
+        run = _dop853(compiled(sys), t0, y0, t_end, rtol, atol,
                       np.linspace(t0, t_end, n_eval).tolist(),
                       live, collapse_eps, blow_up)
     except ZeroDenominator as exc:
-        raise ValueError(f"integration hit a collapse point: {exc}") from exc
+        raise NumericalFailure(f"integration hit a collapse point: {exc}") from exc
 
     t, y = run.t, run.y
     if run.status == 1:
@@ -120,8 +129,8 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
     else:
         termination = "step_underflow"
     if len(t) < 2:
-        raise ValueError(f"integration terminated immediately: {termination}")
-    t, y = np.array(t), np.array(y)
+        raise NumericalFailure(f"integration terminated immediately: {termination}")
+    t, y = np.array(t), np.vstack(y)
     try:
         d = _rhs_rows(sys, y)
     except ZeroDenominator:  # an event state exactly on zero: the flow is unbounded
@@ -140,30 +149,79 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
                       stats=stats)
 
 
-# Dormand-Prince 5(4) with scipy's RK45 tableau, step-size controller and
-# quartic dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6).
+# DOP853 with scipy's tableau, step-size controller and seventh-order dense
+# output (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6 and II.10).
 _EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
-_A21 = 1/5
-_A31, _A32 = 3/40, 9/40
-_A41, _A42, _A43 = 44/45, -56/15, 32/9
-_A51, _A52, _A53, _A54 = 19372/6561, -25360/2187, 64448/6561, -212/729
-_A61, _A62, _A63, _A64, _A65 = 9017/3168, -355/33, 46732/5247, 49/176, -5103/18656
-# the fifth-order weights: B2 = 0, and B equals the seventh stage's A row
-_B1, _B3, _B4, _B5, _B6 = 35/384, 500/1113, 125/192, -2187/6784, 11/84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71/57600, 71/16695, -71/1920, 17253/339200,
-                                -22/525, 1/40)
-# dense output: stage j enters with weight x * (P[j] polynomial in x), where
-# x is the fraction of the step; stage 2's row is zero and left out
-_P = ((1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
-      (0, 131558114200/32700410799, -68118460800/10900136933,
-       87487479700/32700410799),
-      (0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
-      (0, 127303824393/49829197408, -318862633887/49829197408,
-       701980252875 / 199316789632),
-      (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
-      (0, 40617522/29380423, -110615467/29380423, 69997945/29380423))
+_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
+# Stage s = 1..15 adds h times the weighted sum of stages 0..s-1 (stage 0 is
+# the flow at the step's start) to y and evaluates the flow there.  The flow
+# is autonomous, so the stage times are left out.  Row 12 is the eighth-order
+# weights B: stage 12 is the flow at the step's end.  Stages 13-15 feed only
+# the dense output.
+_A = (
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+     5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932,
+     11: 0.0003825710908356584, 12: -0.00034046500868740456,
+     13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+     13: 2.9475147891527724, 14: -9.15095847217987},
+)
+# the error estimators: fifth order, and B less the third-order weights
+_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+       7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+       10: 0.08192320648511571, 11: -0.022355307863886294}
+_BHH = {0: 0.2440944881889764, 8: 0.7338466882816118, 11: 0.022058823529411766}
+_E3 = {j: b - _BHH.get(j, 0.0) for j, b in _A[11].items()}
+# A step's interpolant is y + sum F_j p_j(x) at the fraction x of the step,
+# with p = x, x(1-x), x^2(1-x), x^2(1-x)^2, x^3(1-x)^2, x^3(1-x)^3, x^4(1-x)^3.
+# F_0..F_2 make the cubic Hermite interpolant; F_3..F_6 are h times these
+# weighted sums of all sixteen stages.
+_D = (
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+     13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+     13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+     13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+)
 _MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
              1: "A termination event occurred.",
              -1: "Required step size is less than spacing between numbers."}
@@ -174,10 +232,15 @@ def _norm(x: list[float]) -> float:
     return math.sqrt(sum(v * v for v in x)) / len(x) ** 0.5
 
 
+def _dot(ks: list[list[float]], row: dict[int, float]) -> list[float]:
+    """The row's weighted sum of the stages ks, per component."""
+    return [sum(map(mul, row.values(), col)) for col in zip(*[ks[j] for j in row])]
+
+
 @dataclass
 class _Run:
     t: list[float]
-    y: list[list[float]]
+    y: list  # sample rows, in blocks of one step's samples
     status: int  # 0 reached t_end, 1 terminal event, -1 step underflow
     nfev: int
     n_steps: int
@@ -187,8 +250,8 @@ class _Run:
     event: tuple | None  # (kind, function index, t, y) of a terminal event
 
 
-def _dopri5(flow, t0: float, y0: list[float], t_end: float, rtol: float,
-            atol: float, max_step: float, t_eval: list[float], live: list[int],
+def _dop853(flow, t0: float, y0: list[float], t_end: float, rtol: float,
+            atol: float, t_eval: list[float], live: list[int],
             collapse_eps: float, blow_up: float) -> _Run:
     """Integrate forward on plain floats, sampling at t_eval.
 
@@ -210,20 +273,17 @@ def _dopri5(flow, t0: float, y0: list[float], t_end: float, rtol: float,
     if d1 <= 1e-15 and d2 <= 1e-15:
         h_abs = max(1e-6, h0 * 1e-3)
     else:
-        h_abs = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h_abs, t_end - t, max_step)
+        h_abs = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h_abs, t_end - t)
 
     ts, ys = [], []
-    i_eval, n_eval = 0, len(t_eval)
+    i_eval = 0
     n_steps = n_rejected = 0
     h_min, h_max = math.inf, 0.0
     status = event = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -233,24 +293,16 @@ def _dopri5(flow, t0: float, y0: list[float], t_end: float, rtol: float,
             clipped = t_new - t_end > 0
             if clipped:
                 t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
-            k1 = f
-            k2 = flow([v + (_A21 * a) * h for v, a in zip(y, k1)])
-            k3 = flow([v + (_A31 * a + _A32 * b) * h for v, a, b in zip(y, k1, k2)])
-            k4 = flow([v + (_A41 * a + _A42 * b + _A43 * c) * h
-                       for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = flow([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                       for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = flow([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                       for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            k7 = flow(y_new)
-            err = _norm([(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * p)
-                         * h / (atol + max(abs(v), abs(w)) * rtol)
-                         for v, w, a, c, d, e, g, p
-                         in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            h = h_abs = t_new - t
+            ks = [f]
+            for row in _A[:12]:  # the last pass leaves y_new and its flow
+                y_new = [v + s * h for v, s in zip(y, _dot(ks, row))]
+                ks.append(flow(y_new))
+            scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
+            e5, e3 = (sum(v * v for v in map(truediv, _dot(ks, row), scale))
+                      for row in (_E5, _E3))
+            err = 0.0 if e5 == 0 and e3 == 0 else (
+                h * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale)))
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0
                           else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
@@ -270,20 +322,30 @@ def _dopri5(flow, t0: float, y0: list[float], t_end: float, rtol: float,
         if t_new - t_end >= 0:
             status = 0
 
+        # the continuous extension, its three extra stages on every accepted step
+        for row in _A[12:]:
+            ks.append(flow([v + s * h for v, s in zip(y, _dot(ks, row))]))
+        dy = [w - v for v, w in zip(y, y_new)]
+        coef = np.array([
+            dy, [h * a - b for a, b in zip(f, dy)],
+            [2 * b - h * (a + c) for a, b, c in zip(f, dy, ks[12])],
+            *([h * s for s in _dot(ks, row)] for row in _D)])[::-1]
+        y_old = np.array(y)
+
         def dense(tt):
-            """This step's quartic interpolant at tt."""
+            """This step's interpolant at tt, a time or a column of times."""
             x = (tt - t) / h
-            w1, w3, w4, w5, w6, w7 = [x * (p0 + x * (p1 + x * (p2 + x * p3)))
-                                      for p0, p1, p2, p3 in _P]
-            return [v + h * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * g + w7 * p)
-                    for v, a, c, d, e, g, p in zip(y, k1, k3, k4, k5, k6, k7)]
+            q = 0.0  # Horner's rule in x and 1 - x alternately, from F_6 down
+            for j, c in enumerate(coef):
+                q = (q + c) * (1 - x if j % 2 else x)
+            return q + y_old
 
         fired = _fired(y, y_new, live, collapse_eps, blow_up)
         if fired:
             def root(event):
                 kind, i = event
                 if kind == "blow_up":
-                    g = lambda tt: max(map(abs, dense(tt))) - blow_up  # noqa: E731
+                    g = lambda tt: np.max(np.abs(dense(tt))) - blow_up  # noqa: E731
                 elif kind == "threshold":
                     g = lambda tt: abs(dense(tt)[i]) - collapse_eps  # noqa: E731
                 else:
@@ -293,15 +355,18 @@ def _dopri5(flow, t0: float, y0: list[float], t_end: float, rtol: float,
             t_new, j = min((root(ev), j) for j, ev in enumerate(fired))
             event = (*fired[j], t_new, dense(t_new))
             status = 1
-        while i_eval < n_eval and t_eval[i_eval] <= t_new:
-            ts.append(t_eval[i_eval])
-            ys.append(dense(t_eval[i_eval]))
-            i_eval += 1
-        t, y, f = t_new, y_new, k7
-    # one evaluation at t0, one for the initial step, six per attempted step;
-    # a run whose only step was clipped reports that step as h_min
-    return _Run(ts, ys, status, 2 + 6 * (n_steps + n_rejected), n_steps,
-                n_rejected, min(h_min, h_max), h_max, event)
+        i_new = bisect_right(t_eval, t_new, i_eval)
+        if i_new > i_eval:
+            step_t = t_eval[i_eval:i_new]
+            ts += step_t
+            ys.append(dense(np.array(step_t)[:, None]))
+            i_eval = i_new
+        t, y, f = t_new, y_new, ks[12]
+    # one evaluation at t0, one for the initial step, twelve per attempted
+    # step and three for each accepted step's dense output; a run whose only
+    # step was clipped reports that step as h_min
+    return _Run(ts, ys, status, 2 + 12 * (n_steps + n_rejected) + 3 * n_steps,
+                n_steps, n_rejected, min(h_min, h_max), h_max, event)
 
 
 def _bisect(g, lo: float, hi: float) -> float:
@@ -338,9 +403,7 @@ def _fired(y: list[float], y_new: list[float], live: list[int],
 
 def _rhs_rows(sys: SystemId, y: np.ndarray) -> np.ndarray:
     """The first-order flow at every row of y (samples x functions), in one call."""
-    fns = sys.functions
-    d = rhs_first_order(sys, State(dict(zip(fns, y.T))))
-    return np.column_stack([d[fn] for fn in fns])
+    return np.column_stack(compiled(sys, batch=True)(list(y.T)))
 
 
 def first_order_defect(sys: SystemId, traj: Trajectory) -> float:

@@ -79,8 +79,9 @@ def _monitor_ref(sysid, traj, check):
     for row in traj.y.tolist():
         v = dict(zip(sysid.functions, row))
         if check == "su4_constraint":
-            vals.append(max(abs(v["a1"] + v["a2"]),
-                            abs(v["a1"] ** 2 - v["b"] ** 2 - v["c"] ** 2)))
+            # x * x, not x ** 2: libm pow is not always correctly rounded
+            a1, b, c = v["a1"], v["b"], v["c"]
+            vals.append(max(abs(a1 + v["a2"]), abs(a1 * a1 - b * b - c * c)))
         else:
             fn1, fn2 = integ.MIRRORS[check]
             vals.append(abs(v[fn1] - v[fn2]))

@@ -144,17 +144,29 @@ class TestIntegrationReport:
         assert code == 0
         detail = next(c["detail"] for c in json.loads(out)["checks"]
                       if c["name"] == "integration")
-        assert detail["n_steps"] >= 1024 and detail["n_rejected"] >= 0
-        assert 0 < detail["h_min"] <= detail["h_max"] <= (0.2 - 1e-2) / 1024 * (1 + 1e-12)
+        # the step follows the tolerance alone: each one spans many samples
+        assert detail["samples"] == 1024
+        assert 1 <= detail["n_steps"] < 1024 and detail["n_rejected"] >= 0
+        assert (0.2 - 1e-2) / 1024 < detail["h_min"] <= detail["h_max"]
 
     def test_final_sliver_step_left_out_of_h_min(self, capsys):
-        # the last capped step falls 1.9e-15 short of t_end and is clipped
+        # a final step clipped to t_end, however short, stays out of h_min
         code, out, _ = run(capsys, "verify", "--case", "D", "--param", "b0=1",
                            "--param", "f0=1", "--t-end", "0.2")
         assert code == 0
         detail = next(c["detail"] for c in json.loads(out)["checks"]
                       if c["name"] == "integration")
         assert detail["h_min"] > 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        ("--case", "E", "--k", "2", "--l", "1", "--param", "b0=1/100"),
+        ("--case", "D", "--param", "f0=100"),
+    ], ids=["E-b0-1/100", "D-f0-100"])
+    def test_launch_failure_is_numerical_failure(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 5
+        assert err.startswith("numerical failure: t0 too large for series order")
+        assert "Traceback" not in err and out == ""
 
     def test_reversed_interval_is_usage_error(self, capsys):
         # the launch point t0 = 1e-2 lies beyond t_end

@@ -43,7 +43,7 @@ class TestLaunch:
 
     def test_large_t0_rejected(self):
         sol = solve_series("D", {"b0": 1, "f0": 1}, order=6)
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(integ.NumericalFailure, match="too large"):
             integ.launch_state(sol, 0.5)
 
 
@@ -58,9 +58,9 @@ class TestIntegrate:
         sysid = sol_c534.system()
         start = integ.launch_state(sol_c534, 1e-2)
         d_loose = integ.first_order_defect(
-            sysid, integ.integrate(sysid, start, 1.0, 1e-8, step_cap=False))
+            sysid, integ.integrate(sysid, start, 1.0, 1e-8))
         d_tight = integ.first_order_defect(
-            sysid, integ.integrate(sysid, start, 1.0, 1e-10, step_cap=False))
+            sysid, integ.integrate(sysid, start, 1.0, 1e-10))
         assert d_loose >= 10 * d_tight
 
     def test_invalid_tolerance(self, sol_c534):
@@ -72,6 +72,12 @@ class TestIntegrate:
         start = integ.launch_state(sol_c534, 1e-2)
         with pytest.raises(ValueError):
             integ.integrate(sol_c534.system().einstein(), start, 1.0, 1e-10)
+
+    def test_start_on_a_collapse_point_is_numerical_failure(self):
+        sys = SystemId("S1", AloffWallach(2, 1))
+        start = State({"a": 0.0, "b": 1.0, "c": 1.0, "f": 1.0}, t=1e-3)
+        with pytest.raises(integ.NumericalFailure, match="collapse point"):
+            integ.integrate(sys, start, 1.0, 1e-10)
 
     def test_zero_circle_function_is_invariant(self):
         # the degenerate flag branch keeps f identically zero
@@ -190,6 +196,18 @@ class TestStopReport:
         assert 0 < stats["min_abs_y"] <= stats["max_abs_y"]
         assert "step size" in stats["message"]
 
+    @pytest.mark.parametrize("cid,params,t_stop", [
+        ("F", {"b0": 1, "q1": -1, "q2": 1}, 0.9594),
+        ("H", {"a0": 1, "q": -1}, 0.7223),
+        ("C", {"a0": 2, "b0": 1, "c0": 1}, 0.7881),
+    ], ids=["F1-11", "H1-1", "C211"])
+    def test_finite_time_stop_at_verify_defaults(self, cid, params, t_stop):
+        # the step size underflows before the state reaches the blow-up event
+        sol = solve_series(cid, params, order=20)
+        traj = integ.integrate(sol.system(), integ.launch_state(sol, 1e-2), 1.0, 1e-10)
+        assert traj.termination == "step_underflow"
+        assert abs(traj.t[-1] - t_stop) < 1e-3
+
     def test_reached_end_stats(self, traj_c534):
         stats = traj_c534.stats
         assert stats["max_abs_y"] == float(np.max(np.abs(traj_c534.y[-1])))
@@ -209,11 +227,14 @@ class TestLaunchScale:
 
 
 class TestStepStats:
-    def test_capped_steps_account_for_nfev(self, traj_c534):
-        # one evaluation at t0, one for the initial step, six per attempt
+    def test_steps_account_for_nfev(self, traj_c534):
+        # one evaluation at t0, one for the initial step, twelve per attempt
+        # and three for each accepted step's dense output
         stats = traj_c534.stats
-        assert stats["nfev"] == 2 + 6 * (stats["n_steps"] + stats["n_rejected"])
-        assert stats["h_max"] <= (1.0 - 1e-2) / 1024 * (1 + 1e-12)
+        assert stats["nfev"] == (2 + 12 * (stats["n_steps"] + stats["n_rejected"])
+                                 + 3 * stats["n_steps"])
+        # no cap: a step spans many samples
+        assert stats["h_max"] > 10 * (1.0 - 1e-2) / 1024
         assert 0 < stats["h_min"] <= stats["h_max"]
 
     def test_step_underflow_shrinks_the_step(self):
@@ -260,7 +281,7 @@ def _mirrored_d_start():
 
 def test_collapse_event_state_exactly_on_zero(monkeypatch):
     # a crossing root can land on a = 0.0, where the flow is unbounded
-    real = integ._dopri5
+    real = integ._dop853
 
     def zeroing(*args):
         run = real(*args)
@@ -268,7 +289,7 @@ def test_collapse_event_state_exactly_on_zero(monkeypatch):
         run.event = (kind, i, t_ev, [0.0 if j == i else v for j, v in enumerate(y_ev)])
         return run
 
-    monkeypatch.setattr(integ, "_dopri5", zeroing)
+    monkeypatch.setattr(integ, "_dop853", zeroing)
     sysid, start = _mirrored_d_start()
     traj = integ.integrate(sysid, start, 0.5, 1e-10, collapse_eps=1e-6)
     assert traj.termination == "function_zero:a"
