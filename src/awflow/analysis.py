@@ -9,7 +9,7 @@ from . import integrate as integ
 from .cases import ConstraintError, get_case
 from .exact import rat, rat_str
 from .reptheory import AloffWallach, dim_W, dim_W_s5
-from .solver import check_smoothness, free_slots, solve_series
+from .solver import check_smoothness, free_slots, slot_key, solve_series
 
 
 def detect_f_vanishing(aw: AloffWallach, order: int = 30,
@@ -160,8 +160,9 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
     smooth = check_smoothness(sol)
     checks.append(CheckResult("smoothness", smooth.ok, smooth.to_json()))
 
-    slots = free_slots(case, order=max(8, min(order, 10)), k=k, l=l)
-    expected = sorted((s.function, s.order) for s in case.slots)
+    # the user's own solve lists the slots it found in slot_key order
+    slots = [s for s in sol.free_slots_found if s[1] <= max(8, min(order, 10))]
+    expected = sorted(((s.function, s.order) for s in case.slots), key=slot_key)
     checks.append(CheckResult("free_slot_census", slots == expected,
                               {"found": slots, "expected": expected}))
 
@@ -212,8 +213,8 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
             mon["su4_constraint"]))
 
     if case.vertical is not None:
-        # up to order 8 the census above equals the order-8 census of
-        # cross_check_free_params; a slot beyond it already fails the census
+        # up to order 8 the census above equals the placeholder-point census
+        # of cross_check_free_params; a slot beyond it already fails the census
         xrep = _cross_check_report(case, aw, slots)
         checks.append(CheckResult(
             "free_param_cross_check",

@@ -102,8 +102,8 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
     fns = sys.functions
     rtol = atol = tol / TOL_RATIO
     if rtol < 100 * _EPS:
-        warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
+        warnings.warn(f"tol = {tol:g} gives rtol = atol = tol / {TOL_RATIO} = {rtol:g}; "
+                      f"the step loop runs at the floor rtol = 100*eps = {100 * _EPS:g}",
                       stacklevel=2)
     rtol = max(rtol, 100 * _EPS)
     y0 = [float(start.values[fn]) for fn in fns]

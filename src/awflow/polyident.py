@@ -11,9 +11,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import perm
 from typing import TYPE_CHECKING
 
-from .exact import TruncSeries
+from .exact import TruncSeries, ratio_sum
 
 if TYPE_CHECKING:
     from .systems import SystemId
@@ -34,24 +35,45 @@ class PolyIdentity:
     def eval_series(self, funcs: dict[str, TruncSeries],
                     lam: Fraction | None = None) -> TruncSeries:
         """Substitute exact series; the result is zero iff they solve the ODE."""
-        base = min(s.order for s in funcs.values())
+        return eval_identities([self], funcs, lam)[0]
+
+
+def eval_identities(identities: list[PolyIdentity], funcs: dict[str, TruncSeries],
+                    lam: Fraction | None = None) -> list[TruncSeries]:
+    """Substitute exact series into every identity in one pass.
+
+    Derivative series and prefix products, keyed by the sorted factor tuple,
+    are built once per call as (numerator, denominator) pairs and shared by
+    every term of every identity; each output coefficient is one `ratio_sum`.
+    """
+    base = min(s.order for s in funcs.values())
+    factors = {f for ident in identities for t in ident.terms for f in t.factors}
+    prods = {((fn, d),): [(c.numerator * perm(i + d, d), c.denominator)
+                          for i, c in enumerate(funcs[fn].coef[d:base + 1])]
+             for fn, d in factors}
+    prods[()] = [(1, 1)] + [(0, 1)] * base
+    out = []
+    for ident in identities:
+        if lam is None and any(t.lam for t in ident.terms):
+            raise ValueError(f"identity {ident.label} needs a lambda value")
+        terms = [(q.numerator, q.denominator, _product(prods, tuple(sorted(t.factors))))
+                 for t in ident.terms if (q := t.coeff * Fraction(lam or 0) ** t.lam)]
         # one derivative drops the usable order by its level
-        max_d = max((d for t in self.terms for _, d in t.factors), default=0)
-        out = TruncSeries.zero(base - max_d)
-        for term in self.terms:
-            coeff = term.coeff
-            if term.lam:
-                if lam is None:
-                    raise ValueError(f"identity {self.label} needs a lambda value")
-                coeff = coeff * Fraction(lam) ** term.lam
-            prod = None
-            for fn, d in term.factors:
-                s = funcs[fn]
-                for _ in range(d):
-                    s = s.derivative()
-                prod = s.truncated(out.order) if prod is None else prod * s
-            out = out + (coeff if prod is None else prod * coeff)
-        return out
+        n = base - max((d for t in ident.terms for _, d in t.factors), default=0)
+        out.append(TruncSeries([ratio_sum((cn * p[k][0], cd * p[k][1])
+                                          for cn, cd, p in terms if p[k][0])
+                                for k in range(n + 1)], order=n))
+    return out
+
+
+def _product(prods: dict, key: tuple) -> list[tuple[int, int]]:
+    """Coefficient pairs of the product of the factors in key, memoized in prods."""
+    if key not in prods:
+        a, b = _product(prods, key[:-1]), prods[key[-1:]]
+        prods[key] = [(q.numerator, q.denominator) for q in (ratio_sum(
+            (x * y, dx * dy) for (x, dx), (y, dy) in zip(a[:k + 1], b[k::-1])
+            if x and y) for k in range(min(len(a), len(b))))]
+    return prods[key]
 
 
 def _t(coeff, *factors, lam=0):

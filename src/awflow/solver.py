@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
 from .exact import TruncSeries, rat, rat_str, ratio_sum
-from .polyident import PolyIdentity, polynomialize
+from .polyident import PolyIdentity, eval_identities, polynomialize
 from .reptheory import AloffWallach
 from .systems import SystemId
 
@@ -421,12 +421,9 @@ class SeriesSolution:
 
     def residual_series(self) -> dict[str, TruncSeries]:
         """Exact substitution into every identity of the solved system."""
-        sysid = self.system()
-        lam = self.einstein_lambda
-        return {
-            ident.label: ident.eval_series(self.functions, lam=lam)
-            for ident in polynomialize(sysid)
-        }
+        idents = polynomialize(self.system())
+        res = eval_identities(idents, self.functions, self.einstein_lambda)
+        return {ident.label: r for ident, r in zip(idents, res)}
 
     def verify_exact(self) -> bool:
         return all(r.is_zero() for r in self.residual_series().values())
@@ -470,6 +467,11 @@ def _split_params(case: OrbitCase, params: dict) -> tuple[dict, dict]:
     slot_params = {k: v for k, v in params.items() if k in slot_names}
     init_params = {k: v for k, v in params.items() if k not in slot_names}
     return init_params, slot_params
+
+
+def slot_key(slot: tuple[str, int]) -> tuple[int, str]:
+    """The order slot lists are kept in: by series order, then function."""
+    return slot[1], slot[0]
 
 
 def _run(case: OrbitCase, aw: AloffWallach, seeds: dict, order: int, binder,
@@ -520,7 +522,7 @@ def solve_series(case: OrbitCase | str, params: dict, order: int = 20,
     return SeriesSolution(
         case=case, aw=aw, functions=stream.series(),
         bound_params={**init_params, **slot_params},
-        free_slots_found=sorted(stream.free_slots_found, key=lambda s: (s[1], s[0])),
+        free_slots_found=sorted(stream.free_slots_found, key=slot_key),
         diagnostics=stream.diagnostics,
     )
 
@@ -545,7 +547,7 @@ def free_slots(case: OrbitCase | str, order: int = 8, params: dict | None = None
         return rat(probe)
 
     _run(case, aw, seeds, order, binder)
-    return sorted(found, key=lambda s: (s[1], s[0]))
+    return sorted(found, key=slot_key)
 
 
 def einstein_series(case: OrbitCase | str, params: dict, lam, order: int = 10,

@@ -1,12 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from awflow import analysis, solver
 from awflow.analysis import (cross_check_free_params, detect_f_vanishing,
                              su4_family_check, verify_case)
-from awflow.cases import ConstraintError
+from awflow.cases import CASES, ConstraintError, SlotSpec, get_case
 from awflow.reptheory import AloffWallach
+from awflow.solver import free_slots, solve_series
 
 
 class TestVanishingInduction:
@@ -123,3 +126,55 @@ class TestVerifyCase:
         rep = verify_case("D", {"b0": 1, "f0": 1}, t_end=0.2,
                           fault_inject=("b", 3))
         assert not rep["ok"]
+
+
+def _census(rep):
+    (check,) = [c for c in rep["checks"] if c["name"] == "free_slot_census"]
+    return check
+
+
+class TestSlotCensus:
+    """verify_case reads the census off the user's own staircase."""
+
+    @pytest.mark.parametrize("cid,params", [
+        ("D", {"b0": 1, "f0": 1}),
+        ("F", {"b0": 1, "q1": 1, "q2": -2}),
+    ])
+    def test_one_staircase_per_verify(self, monkeypatch, cid, params):
+        def no_census(*args, **kwargs):
+            raise AssertionError("verify_case ran the placeholder-point census")
+        runs = []
+        real_run = solver._run
+
+        def counting_run(*args, **kwargs):
+            runs.append(args[0].id)
+            return real_run(*args, **kwargs)
+        monkeypatch.setattr(analysis, "free_slots", no_census)
+        monkeypatch.setattr(solver, "_run", counting_run)
+        rep = verify_case(cid, params, t_end=0.2)
+        assert rep["ok"]
+        assert runs == [cid]
+
+    @pytest.mark.parametrize("cid", sorted(CASES))
+    def test_census_equals_placeholder_census(self, cid):
+        # the CLI defaults: initial values 1, slots 0, A and E at (2, 1)
+        case = get_case(cid)
+        kw = {"k": 2, "l": 1} if cid in ("A", "E") else {}
+        params = {**{name: 1 for name in case.required_params},
+                  **{slot.param: 0 for slot in case.slots}}
+        rep = verify_case(cid, params, **kw)
+        assert rep["ok"]
+        assert _census(rep)["detail"]["found"] == free_slots(case, order=10, **kw)
+
+    def test_census_sort_key_spans_orders(self, monkeypatch):
+        # a synthetic case whose slots sit at two orders, listed by function
+        case = dataclasses.replace(get_case("F"), slots=(
+            SlotSpec("q1", "a1", 3), SlotSpec("q2", "a2", 2)))
+        sol = solve_series("F", {"b0": 1, "q1": 1, "q2": -2}, order=12)
+        sol.free_slots_found = [("a2", 2), ("a1", 3)]  # the solver lists by order
+        monkeypatch.setattr(analysis, "get_case", lambda cid: case)
+        monkeypatch.setattr(analysis, "solve_series", lambda *a, **kw: sol)
+        census = _census(verify_case("F", {}, order=12, t_end=0.2))
+        assert census["ok"]
+        assert census["detail"]["found"] == census["detail"]["expected"] \
+            == [("a2", 2), ("a1", 3)]

@@ -256,6 +256,16 @@ class TestStepStats:
             traj = integ.integrate(sol.system(), start, 2e-2, 1e-17, n_samples=200)
         assert traj.termination == "reached_t_end"
 
+    def test_floor_warning_names_the_tol_passed(self):
+        sol = solve_series("D", {"b0": 1, "f0": 1}, order=20)
+        start = integ.launch_state(sol, 1e-2)
+        with pytest.warns(UserWarning) as record:
+            integ.integrate(sol.system(), start, 2e-2, 3e-15, n_samples=200)
+        (msg,) = [str(w.message) for w in record]
+        assert "tol = 3e-15" in msg
+        assert f"{3e-15 / integ.TOL_RATIO:g}" in msg
+        assert f"{100 * np.finfo(float).eps:g}" in msg
+
 
 def test_scipy_stays_off_the_import_path():
     # awflow never imports scipy: the step loop and the event root are in-house

@@ -5,9 +5,9 @@ import pytest
 import sympy as sp
 
 from awflow.exact import TruncSeries
-from awflow.polyident import polynomialize
+from awflow.polyident import eval_identities, polynomialize
 from awflow.reptheory import AloffWallach
-from awflow.solver import solve_series
+from awflow.solver import einstein_series, solve_series
 from awflow.systems import SystemId
 
 t = sp.symbols("t")
@@ -182,3 +182,75 @@ class TestEvalSeries:
                   for fn, v in {"a": 1, "b": 1, "c": 1, "f": 0}.items()}
         res = polynomialize(sysid)[0].eval_series(consts)
         assert res.coef[0] != 0  # constant term catches the non-solution
+
+
+def _per_term(ident, funcs, lam=None):
+    """Reference: one identity, one term at a time, through TruncSeries."""
+    base = min(s.order for s in funcs.values())
+    max_d = max((d for term in ident.terms for _, d in term.factors), default=0)
+    out = TruncSeries.zero(base - max_d)
+    for term in ident.terms:
+        coeff = term.coeff * Fraction(lam or 0) ** term.lam
+        prod = None
+        for fn, d in term.factors:
+            s = funcs[fn]
+            for _ in range(d):
+                s = s.derivative()
+            prod = s.truncated(out.order) if prod is None else prod * s
+        out = out + (coeff if prod is None else prod * coeff)
+    return out
+
+
+def _corrupted(funcs, fn, i):
+    coef = list(funcs[fn].coef)
+    coef[i] += Fraction(1, 3)
+    return {**funcs, fn: TruncSeries(coef)}
+
+
+class TestSharedEvaluator:
+    """eval_identities shares products across identities; it must equal the
+    per-identity, per-term sum exactly, on solutions and off them."""
+
+    @pytest.mark.parametrize("cid,params,kw", [
+        ("A", {"a0": 1, "b0": 2, "c0": 3}, {"k": 2, "l": 1}),
+        ("C", {"a0": 5, "b0": 3, "c0": 4}, {}),
+        ("D", {"b0": 1, "f0": 1}, {}),
+        ("F", {"b0": 1, "q1": 1, "q2": -2}, {}),
+        ("H", {"a0": 1, "q": 1}, {}),
+    ])
+    def test_holonomy_solutions_and_corrupted_copies(self, cid, params, kw):
+        sol = solve_series(cid, params, order=12, **kw)
+        fns = sorted(sol.functions)
+        for funcs in (sol.functions, _corrupted(sol.functions, fns[0], 3),
+                      _corrupted(sol.functions, fns[-1], 0)):
+            for sysid, lam in ((sol.system(), None),
+                               (sol.system().einstein(), Fraction(0))):
+                idents = polynomialize(sysid)
+                got = eval_identities(idents, funcs, lam)
+                assert got == [_per_term(i, funcs, lam) for i in idents], sysid.kind
+
+    @pytest.mark.parametrize("cid,params,lam,kw", [
+        ("A", {"a0": 1, "b0": 1, "c0": 1, "f3": 1}, 0, {"k": 2, "l": 1}),
+        ("A", {"a0": 2, "b0": Fraction(3, 2), "c0": 1, "f3": -2}, 1, {"k": 2, "l": 1}),
+        ("C", {"a0": 3, "b0": 2, "c0": Fraction(5, 3), "f3": Fraction(1, 2)}, 1, {}),
+        ("D", {"b0": 1, "f0": 1, "bdiff1": 0}, 0, {}),
+        ("D", {"b0": Fraction(3, 2), "f0": Fraction(2, 3)}, 1, {}),
+    ])
+    def test_einstein_series(self, cid, params, lam, kw):
+        sol = einstein_series(cid, params, lam, order=8, **kw)
+        idents = polynomialize(sol.system())
+        for funcs in (sol.functions, _corrupted(sol.functions, "b", 2)):
+            got = eval_identities(idents, funcs, Fraction(lam))
+            assert got == [_per_term(i, funcs, lam) for i in idents]
+        assert all(r.is_zero() for r in sol.residual_series().values())
+
+    def test_eval_series_is_the_one_identity_call(self):
+        sol = solve_series("G", {"a0": 1, "q": 1}, order=10)
+        funcs = _corrupted(sol.functions, "c", 5)
+        for ident in polynomialize(sol.system()):
+            assert ident.eval_series(funcs) == eval_identities([ident], funcs)[0]
+
+    def test_lambda_required(self):
+        sol = solve_series("D", {"b0": 1, "f0": 1}, order=6)
+        with pytest.raises(ValueError, match="needs a lambda value"):
+            eval_identities(polynomialize(sol.system().einstein()), sol.functions)
