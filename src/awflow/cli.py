@@ -1,8 +1,8 @@
 """Command-line surface: dimension tables, series solving, verification.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage, 3 constraint violation,
-4 solver inconsistency, 5 numerical failure (a launch or an integration that
-cannot proceed).
+Exit codes: 0 pass, 1 verification failure, 2 usage, 3 constraint violation
+(a resonant Einstein datum among them), 4 solver inconsistency, 5 numerical
+failure (a launch or an integration that cannot proceed).
 """
 from __future__ import annotations
 
@@ -194,9 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_lambda(argv) -> list[str]:
+    """'--lambda -1/2' as '--lambda=-1/2': argparse takes '-1/2' for an option."""
+    out: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if out[-1:] == ["--lambda"] and arg[:1] == "-" and arg[1:2].isdigit():
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(_join_negative_lambda(argv))
     try:
         return args.func(args)
     except ConstraintError as exc:

@@ -40,8 +40,8 @@ def rat_str(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def ratio_sum(terms) -> Fraction:
-    """Sum of n/d over integer pairs (n, d) with d > 0, reduced once.
+def pair_sum(terms) -> tuple[int, int]:
+    """Sum of n/d over integer pairs (n, d) with d > 0, as a reduced pair.
 
     Numerators accumulate over a running common denominator, so a Cauchy sum
     of k products costs one normalization instead of two per product.
@@ -54,7 +54,13 @@ def ratio_sum(terms) -> Fraction:
             g = gcd(den, d)
             num = num * (d // g) + n * (den // g)
             den = den // g * d
-    return Fraction(num, den)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def ratio_sum(terms) -> Fraction:
+    """`pair_sum` as a Fraction."""
+    return Fraction(*pair_sum(terms))
 
 
 class TruncSeries:

@@ -7,14 +7,16 @@ into the straight-line float code of the flow and of the Einstein residual.
 """
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import perm
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .exact import TruncSeries, ratio_sum
+from .exact import TruncSeries, pair_sum, ratio_sum
 
 if TYPE_CHECKING:
     from .systems import SystemId
@@ -23,7 +25,7 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class Term:
     coeff: Fraction
-    factors: tuple[tuple[str, int], ...]  # (function, derivative order)
+    factors: tuple[tuple[str, int], ...]  # sorted (function, derivative order)
     lam: int = 0  # power of the Einstein constant
 
 
@@ -42,11 +44,12 @@ def eval_identities(identities: list[PolyIdentity], funcs: dict[str, TruncSeries
                     lam: Fraction | None = None) -> list[TruncSeries]:
     """Substitute exact series into every identity in one pass.
 
-    Derivative series and prefix products, keyed by the sorted factor tuple,
-    are built once per call as (numerator, denominator) pairs and shared by
-    every term of every identity; each output coefficient is one `ratio_sum`.
+    Derivative series and the products of `term_plan` are built once per call
+    as (numerator, denominator) pairs and shared by every term of every
+    identity; each output coefficient is one `ratio_sum`.
     """
     base = min(s.order for s in funcs.values())
+    plan = term_plan(identities)
     factors = {f for ident in identities for t in ident.terms for f in t.factors}
     prods = {((fn, d),): [(c.numerator * perm(i + d, d), c.denominator)
                           for i, c in enumerate(funcs[fn].coef[d:base + 1])]
@@ -56,7 +59,7 @@ def eval_identities(identities: list[PolyIdentity], funcs: dict[str, TruncSeries
     for ident in identities:
         if lam is None and any(t.lam for t in ident.terms):
             raise ValueError(f"identity {ident.label} needs a lambda value")
-        terms = [(q.numerator, q.denominator, _product(prods, tuple(sorted(t.factors))))
+        terms = [(q.numerator, q.denominator, _product(prods, plan, t.factors))
                  for t in ident.terms if (q := t.coeff * Fraction(lam or 0) ** t.lam)]
         # one derivative drops the usable order by its level
         n = base - max((d for t in ident.terms for _, d in t.factors), default=0)
@@ -66,14 +69,75 @@ def eval_identities(identities: list[PolyIdentity], funcs: dict[str, TruncSeries
     return out
 
 
-def _product(prods: dict, key: tuple) -> list[tuple[int, int]]:
+def _product(prods: dict, plan: MappingProxyType, key: tuple) -> list[tuple[int, int]]:
     """Coefficient pairs of the product of the factors in key, memoized in prods."""
     if key not in prods:
-        a, b = _product(prods, key[:-1]), prods[key[-1:]]
-        prods[key] = [(q.numerator, q.denominator) for q in (ratio_sum(
-            (x * y, dx * dy) for (x, dx), (y, dy) in zip(a[:k + 1], b[k::-1])
-            if x and y) for k in range(min(len(a), len(b))))]
+        a, b = (_product(prods, plan, half) for half in plan[key])
+        prods[key] = [pair_sum((x * y, dx * dy) for (x, dx), (y, dy)
+                               in zip(a[:k + 1], b[k::-1]) if x and y)
+                      for k in range(min(len(a), len(b)))]
     return prods[key]
+
+
+def term_plan(identities) -> MappingProxyType:
+    """The `product_plan` of the factor multisets of the identities' terms."""
+    return product_plan(frozenset(t.factors for ident in identities for t in ident.terms))
+
+
+@cache
+def product_plan(keys: frozenset) -> MappingProxyType:
+    """node -> (left, right) for every product of two or more factors that the
+    terms, keyed by their sorted factor tuples, need.  Greedy: the pair of
+    sub-products held by the most terms (ties: the lexicographically least)
+    is merged in each term holding it, until every term is one node.  The
+    terms holding each pair are kept incrementally, ranked by a lazy heap.
+    """
+    nodes = sorted({(f,) for key in keys for f in key})
+    ids = {node: i for i, node in enumerate(nodes)}
+    plan: dict = {}
+
+    def pairs(term: Counter) -> set:
+        s = sorted(term)
+        return {(x, y) for i, x in enumerate(s) for y in s[i + (term[x] < 2):]}
+
+    def entry(pair: tuple) -> tuple:
+        return -len(held[pair]), nodes[pair[0]], nodes[pair[1]], pair
+
+    terms = [Counter(ids[(f,)] for f in key) for key in sorted(keys) if len(key) > 1]
+    held = defaultdict(set)  # pair of ids -> indices of the terms holding it
+    for t, term in enumerate(terms):
+        for pair in pairs(term):
+            held[pair].add(t)
+    heap = [entry(pair) for pair in held]
+    heapq.heapify(heap)
+    while heap:
+        count, _, _, (x, y) = heapq.heappop(heap)
+        if len(held[x, y]) != -count:  # stale: the count changed since the push
+            if held[x, y]:
+                heapq.heappush(heap, entry((x, y)))
+            continue
+        node = tuple(sorted(nodes[x] + nodes[y]))
+        if node not in ids:
+            ids[node], plan[node] = len(nodes), (nodes[x], nodes[y])
+            nodes.append(node)
+        z, grown = ids[node], set()
+        for t in sorted(held[x, y]):
+            term = terms[t]
+            old, k = pairs(term), min(term[x], term[y]) // (1 + (x == y))
+            term.subtract([x, y] * k)
+            term[z] += k
+            for s in {x, y}:
+                if not term[s]:
+                    del term[s]
+            new = pairs(term)
+            for pair in old - new:
+                held[pair].discard(t)
+            for pair in new - old:  # each holds z
+                held[pair].add(t)
+            grown |= new - old
+        for pair in grown:
+            heapq.heappush(heap, entry(pair))
+    return MappingProxyType(plan)
 
 
 def _t(coeff, *factors, lam=0):

@@ -10,12 +10,14 @@ into every identity is an exact zero check.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import perm
 
 from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
-from .exact import TruncSeries, rat, rat_str, ratio_sum
-from .polyident import PolyIdentity, eval_identities, polynomialize
+from .exact import TruncSeries, pair_sum, rat, rat_str, ratio_sum
+from .polyident import PolyIdentity, eval_identities, polynomialize, term_plan
 from .reptheory import AloffWallach
 from .systems import SystemId
 
@@ -24,13 +26,16 @@ class InconsistentSystem(ValueError):
     """The linear step has no solution (exit code 4)."""
 
 
+class ResonantDatum(ConstraintError):
+    """An Einstein datum at which a coefficient no slot binds is free (exit code 3)."""
+
+
 # -- polynomial values over pending unknowns ------------------------------------
 
 
-def _accumulate(acc: dict, mon: dict, q: Fraction = Fraction(1)) -> None:
-    """Add q * mon to acc, which maps each monomial to the integer ratios
-    (n, d) of its terms; `_collect` sums each monomial once."""
-    qn, qd = q.numerator, q.denominator
+def _accumulate(acc: dict, mon: dict, qn: int = 1, qd: int = 1) -> None:
+    """Add (qn / qd) * mon to acc, which maps each monomial to the integer
+    ratios (n, d) of its terms; `_collect` sums each monomial once."""
     for m, c in mon.items():
         acc.setdefault(m, []).append((c.numerator * qn, c.denominator * qd))
 
@@ -112,7 +117,7 @@ class P:
         for m, c in self.mon.items():
             if len(m) == 1 and m[0][1] == 1 and m[0][0] in env:
                 # a single pending to the first power: c times its substitute
-                _accumulate(acc, env[m[0][0]].mon, c)
+                _accumulate(acc, env[m[0][0]].mon, c.numerator, c.denominator)
             elif not any(p in env for p, _ in m):
                 _accumulate(acc, {m: c})
             else:
@@ -134,25 +139,35 @@ def _settled(poly: P) -> Fraction | P:
     return poly.value if poly.is_const else poly
 
 
-def _subst(value: Fraction | P, env: dict[int, P]) -> Fraction | P:
-    """Replace resolved pendings in a settled value or a live polynomial."""
-    if type(value) is Fraction:
-        return value
-    new = value.subst(env)
-    return value if new is value else _settled(new)
+def _pair(value: Fraction | P) -> tuple[int, int] | P:
+    """A settled value as its reduced pair (n, d); a live one as it is."""
+    return (value.numerator, value.denominator) if type(value) is Fraction else value
 
 
-def _add_product(acc: dict, x: Fraction | P, y: Fraction | P) -> None:
-    """Add x * y to the accumulator."""
-    if type(x) is not Fraction:
-        x, y = y, x  # x is the settled factor if there is one
-    if type(y) is Fraction:
-        acc.setdefault((), []).append(
-            (x.numerator * y.numerator, x.denominator * y.denominator))
-    elif type(x) is Fraction:
-        _accumulate(acc, y.mon, x)
-    else:
-        _accumulate(acc, (x * y).mon)
+def _fresh(value: tuple[int, int] | P, env: dict[int, P]) -> tuple[int, int] | P:
+    """Replace resolved pendings in a live value."""
+    return value if type(value) is tuple else _pair(_settled(value.subst(env)))
+
+
+def _dot(products) -> tuple[int, int] | P:
+    """Sum of a * b over pairs of cache entries: settled products go through
+    one `pair_sum`, products that hold a live pending through the accumulator."""
+    pairs, acc = [], {}
+    for a, b in products:
+        if type(a) is not tuple:
+            a, b = b, a
+        if type(a) is not tuple:
+            _accumulate(acc, (a * b).mon)
+        elif not a[0]:
+            continue
+        elif type(b) is not tuple:
+            _accumulate(acc, b.mon, *a)
+        elif b[0]:
+            pairs.append((a[0] * b[0], a[1] * b[1]))
+    if not acc:
+        return pair_sum(pairs)
+    acc.setdefault((), []).extend(pairs)
+    return _pair(_settled(_collect(acc)))
 
 
 class _Stream:
@@ -165,9 +180,10 @@ class _Stream:
     still live at step o + d (a lag of 2d) is a free slot and consumes a
     value from the binder.
 
-    Coefficients, prefix products and rows are plain Fractions once they
-    settle; a `P` is kept only for a value that still holds a live pending.
-    Cauchy sums and rows go through one accumulator, summed by `ratio_sum`.
+    Every product a term needs is cached once, split as `term_plan` says and
+    shared by all terms.  A settled coefficient, product or row is a reduced
+    pair (n, d), and a `P` only holds a value with a live pending; `_dot` sums
+    settled products in one `pair_sum`, live ones through the accumulator.
     """
 
     def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
@@ -182,41 +198,22 @@ class _Stream:
         self.internal = target_order + 3 * self.d
         self.slot_binder = slot_binder
         self.avoid_pivot = avoid_pivot
-        self.coeffs: dict[str, list[Fraction | P | None]] = {
+        self.coeffs: dict[str, list[tuple[int, int] | P | None]] = {
             fn: [None] * (self.internal + 1) for fn in functions
         }
         for (fn, o), v in seeds.items():
-            self.coeffs[fn][o] = Fraction(v)
+            self.coeffs[fn][o] = _pair(Fraction(v))
         self.env: dict[int, P] = {}
         self.live: dict[int, tuple[str, int]] = {}  # pid -> (fn, order)
         self._next_pid = 0
         self.diagnostics: list[dict] = []
         self.free_slots_found: list[tuple[str, int]] = []
-        # anchor prefix products at zero: vanishing-at-0 functions first
-        vanishing = {fn for fn in functions if seeds.get((fn, 0), None) == 0}
-
-        def anchor(f):
-            return (0 if (f[1] == 0 and f[0] in vanishing) else 1, f[0], f[1])
-
-        # one prefix-product cache per distinct factor prefix, shared by every
-        # term of every identity; single factors cache the derivative series
-        self._prefixes: dict[tuple[tuple[str, int], ...], list] = {}
-        self._terms: list[list[tuple[Fraction, tuple[tuple[str, int], ...]]]] = []
-        for ident in identities:
-            terms = []
-            for term in ident.terms:
-                factors = tuple(sorted(term.factors, key=anchor))
-                for n, f in enumerate(factors):
-                    self._prefixes.setdefault(factors[:n + 1], [])
-                    self._prefixes.setdefault((f,), [])
-                coeff = term.coeff
-                if term.lam:
-                    if lam is None:
-                        raise ValueError(
-                            "identity carries the Einstein constant; pass lambda")
-                    coeff = coeff * lam ** term.lam
-                terms.append((coeff, factors))
-            self._terms.append(terms)
+        self._plan = term_plan(identities)
+        self._caches: dict[tuple[tuple[str, int], ...], list] = defaultdict(list)
+        if lam is None and any(t.lam for ident in identities for t in ident.terms):
+            raise ValueError("identity carries the Einstein constant; pass lambda")
+        self._terms = [[((q.numerator, q.denominator), t.factors) for t in ident.terms
+                        if (q := t.coeff * (lam or 0) ** t.lam)] for ident in identities]
 
     # ---- coefficient bookkeeping
 
@@ -231,66 +228,47 @@ class _Stream:
                 fresh.append(f"{fn}[{order}]")
         return fresh
 
-    def _coef(self, fn: str, order: int) -> Fraction | P:
+    def _coef(self, fn: str, order: int) -> tuple[int, int] | P:
         value = self.coeffs[fn][order]
         if value is None:  # pragma: no cover - guarded by the staircase layout
             raise AssertionError(f"coefficient {fn}[{order}] read before introduction")
-        value = self.coeffs[fn][order] = _subst(value, self.env)
+        value = self.coeffs[fn][order] = _fresh(value, self.env)
         return value
 
-    def _factor_coef(self, fn: str, dord: int, u: int) -> Fraction | P:
-        value = self._coef(fn, u + dord)
-        if dord == 0:
-            return value
-        mult = 1
-        for i in range(dord):
-            mult *= (u + 1 + i)
-        return value * mult if type(value) is Fraction else value.scaled(mult)
+    def _factor_coef(self, fn: str, dord: int, u: int) -> tuple[int, int] | P:
+        """Coefficient u of the dord-th derivative of fn, as a cache entry."""
+        value, mult = self._coef(fn, u + dord), perm(u + dord, dord)
+        return _pair(Fraction(value[0] * mult, value[1]) if type(value) is tuple
+                     else value.scaled(mult))
 
-    # ---- identity coefficient via shared prefix products
+    # ---- identity coefficient via the shared product plan
 
-    def _product(self, key: tuple[tuple[str, int], ...], j: int) -> Fraction | P:
+    def _product(self, key: tuple[tuple[str, int], ...], j: int) -> tuple[int, int] | P:
         """Coefficient j of the product of the factors in `key`."""
-        cache = self._prefixes[key]
-        if len(key) == 1:
-            for jj in range(len(cache), j + 1):
-                cache.append(self._factor_coef(*key[0], jj))
-        else:
-            head, last = key[:-1], key[-1:]
-            for jj in range(len(cache), j + 1):
-                self._product(head, jj)
-                self._product(last, jj)
-                cache.append(self._cauchy(self._prefixes[head],
-                                          self._prefixes[last], jj))
-        value = cache[j]
-        if type(value) is not Fraction:
-            value = cache[j] = _subst(value, self.env)
-        return value
+        cache = self._caches[key]
+        if len(cache) <= j:
+            if len(key) == 1:
+                for jj in range(len(cache), j + 1):
+                    cache.append(self._factor_coef(*key[0], jj))
+            else:
+                left, right = self._plan[key]
+                self._product(left, j)
+                self._product(right, j)
+                for jj in range(len(cache), j + 1):
+                    cache.append(self._cauchy(self._caches[left], self._caches[right], jj))
+        cache[j] = _fresh(cache[j], self.env)
+        return cache[j]
 
-    def _cauchy(self, left: list, right: list, j: int) -> Fraction | P:
+    def _cauchy(self, left: list, right: list, j: int) -> tuple[int, int] | P:
         """Coefficient j of the product of two cached series."""
-        env = self.env
-        acc: dict = {}
-        for u in range(j + 1):
-            a = left[u]
-            if type(a) is not Fraction:
-                a = left[u] = _subst(a, env)
-            if not a:
-                continue
-            b = right[j - u]
-            if type(b) is not Fraction:
-                b = right[j - u] = _subst(b, env)
-            if not b:
-                continue
-            _add_product(acc, a, b)
-        return _settled(_collect(acc))
+        for cache in (left, right):
+            for u in range(j + 1):
+                if type(cache[u]) is not tuple:
+                    cache[u] = _fresh(cache[u], self.env)
+        return _dot(zip(left[:j + 1], right[j::-1]))
 
-    def _row(self, ident_idx: int, j: int) -> Fraction | P:
-        acc: dict = {}
-        for coeff, factors in self._terms[ident_idx]:
-            if coeff:
-                _add_product(acc, coeff, self._product(factors, j))
-        return _settled(_collect(acc))
+    def _row(self, ident_idx: int, j: int) -> tuple[int, int] | P:
+        return _dot((coeff, self._product(key, j)) for coeff, key in self._terms[ident_idx])
 
     # ---- elimination
 
@@ -302,13 +280,13 @@ class _Stream:
             if pid in val.pids():
                 self.env[other] = val.subst(sub)
 
-    def _eliminate_row(self, label: str, row: Fraction | P, j, log: dict) -> bool:
+    def _eliminate_row(self, label: str, row: tuple[int, int] | P, j, log: dict) -> bool:
         """Use an affine row to resolve one pending; defer nonlinear rows."""
-        if type(row) is Fraction:
-            if row:
+        if type(row) is tuple:
+            if row[0]:
                 raise InconsistentSystem(
                     f"no formal solution at order {j}: identity {label!r} "
-                    f"reduces to {row} = 0"
+                    f"reduces to {Fraction(*row)} = 0"
                 )
             return True
         if row.degree() > 1:
@@ -346,7 +324,7 @@ class _Stream:
     # ---- main loop
 
     def run(self) -> None:
-        deferred: list[tuple[str, Fraction | P]] = []
+        deferred: list[tuple[str, tuple[int, int] | P]] = []
         for j in range(0, self.internal - self.d + 1):
             log = {"order": j, "introduced": [], "resolved": [], "free": [],
                    "rank": 0}
@@ -368,13 +346,13 @@ class _Stream:
         # and a row of step j <= target + 2d has factor orders summing to at
         # most j + 2d < 2 (target + d + 1) (target > 2d - 2), so it is affine
 
-    def _drain(self, queue: list[tuple[str, Fraction | P]], j: int, log: dict
-               ) -> list[tuple[str, Fraction | P]]:
+    def _drain(self, queue: list[tuple[str, tuple[int, int] | P]], j: int, log: dict
+               ) -> list[tuple[str, tuple[int, int] | P]]:
         while True:
             progressed = False
             leftover = []
             for label, row in queue:
-                row = _subst(row, self.env)
+                row = _fresh(row, self.env)
                 if self._eliminate_row(label, row, j, log):
                     progressed = True
                 else:
@@ -389,11 +367,11 @@ class _Stream:
             coef = []
             for o in range(self.target + 1):
                 value = self._coef(fn, o)
-                if type(value) is not Fraction:
+                if type(value) is not tuple:
                     raise InconsistentSystem(
                         f"coefficient {fn}[{o}] left undetermined"
                     )
-                coef.append(value)
+                coef.append(Fraction(*value))
             out[fn] = TruncSeries(coef)
         return out
 
@@ -646,8 +624,11 @@ def _einstein_run(case, spec, aw, params, lam, order):
     seeds = case.einstein_seeds(aw, params)
 
     def binder(fn: str, o: int) -> Fraction:
-        raise InconsistentSystem(
-            f"unexpected Einstein free direction ({fn}, {o}) for case {case.id}"
+        datum = ", ".join(f"{key}={v}" for key, v in sorted(params.items()))
+        raise ResonantDatum(
+            f"case {case.id}: the datum {datum}, lambda={lam} is resonant at "
+            f"order n = {o}: the Einstein recursion leaves {fn}[{o}] free and "
+            "no cataloged slot binds it"
         )
 
     stream = _run(case, aw, seeds, order, binder, lam)

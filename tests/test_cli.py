@@ -195,6 +195,29 @@ def test_bad_input_ends_in_typed_exit(capsys, argv, code, message):
     assert "Traceback" not in err
 
 
+_SPHERE_EINSTEIN = ("series", "--einstein", "--case", "D", "--order", "6",
+                    "--param", "b0=1", "--param", "f0=1")
+
+
+def test_negative_rational_lambda_is_a_value(capsys):
+    code, out, err = run(capsys, *_SPHERE_EINSTEIN, "--lambda", "-1/2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lambda"] == "-1/2"
+    assert run(capsys, *_SPHERE_EINSTEIN, "--lambda=-1/2") == (code, out, err)
+    code, _, err = run(capsys, *_SPHERE_EINSTEIN, "--lambda", "-1/0")
+    assert code == 3
+    assert "must be an exact rational" in err
+
+
+def test_resonant_einstein_datum_exits_3(capsys):
+    code, out, err = run(capsys, "series", "--einstein", "--case", "C",
+                         "--param", "a0=5", "--param", "b0=3", "--param", "c0=4",
+                         "--param", "f1=3", "--lambda", "1", "--order", "6")
+    assert (code, out) == (3, "")
+    assert "resonant at order n = 4" in err
+    assert "Traceback" not in err
+
+
 _FAULTY_D = ("verify", "--case", "D", "--fault-inject")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awflow.exact import TruncSeries, rat, rat_str
+from awflow.exact import TruncSeries, pair_sum, rat, rat_str
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 series = st.lists(rationals, min_size=4, max_size=9).map(TruncSeries)
@@ -123,7 +123,13 @@ class TestTruncSeries:
     @given(a=kernel_series, b=kernel_series)
     @settings(max_examples=300, deadline=None)
     def test_mul_matches_schoolbook(self, a, b):
-        assert list((a * b).coef) == schoolbook(a, b)
+        want = schoolbook(a, b)
+        assert list((a * b).coef) == want
+        # the pair kernel on the same products gives each coefficient reduced
+        for k, q in enumerate(want):
+            terms = [(x.numerator * y.numerator, x.denominator * y.denominator)
+                     for x, y in zip(a.coef[:k + 1], b.coef[k::-1])]
+            assert pair_sum(terms) == (q.numerator, q.denominator)
 
     def test_mul_kernel_edge_cases(self):
         big = Fraction(3**200 + 1, 2**310 - 1)

@@ -1,11 +1,15 @@
 """The cleared identities must equal denominator * (displayed equation)."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
+import awflow
 from awflow.exact import TruncSeries
-from awflow.polyident import eval_identities, polynomialize
+from awflow.polyident import eval_identities, polynomialize, product_plan, term_plan
 from awflow.reptheory import AloffWallach
 from awflow.solver import einstein_series, solve_series
 from awflow.systems import SystemId
@@ -254,3 +258,56 @@ class TestSharedEvaluator:
         sol = solve_series("D", {"b0": 1, "f0": 1}, order=6)
         with pytest.raises(ValueError, match="needs a lambda value"):
             eval_identities(polynomialize(sol.system().einstein()), sol.functions)
+
+
+_SYSTEMS = {"S1": SystemId("S1", AloffWallach(2, 1)), "S2": SystemId("S2"),
+            "E1": SystemId("E1", AloffWallach(2, 1)), "E2": SystemId("E2")}
+#: Products of two or more factors under one cache per sorted factor prefix.
+_PREFIX_PRODUCTS = {"S1": 37, "S2": 76, "E1": 177, "E2": 326}
+
+
+def _term_keys(sysid):
+    return {tuple(sorted(t.factors)) for i in polynomialize(sysid) for t in i.terms}
+
+
+class TestProductPlan:
+    """The plan that splits every product of term factors into two halves."""
+
+    @pytest.mark.parametrize("kind", sorted(_SYSTEMS))
+    def test_splits_multiply_back_and_reach_every_key(self, kind):
+        plan = term_plan(polynomialize(_SYSTEMS[kind]))
+        for node, (left, right) in plan.items():
+            assert len(node) > 1
+            assert tuple(sorted(left + right)) == node
+            assert all(len(half) == 1 or half in plan for half in (left, right))
+        for key in _term_keys(_SYSTEMS[kind]):
+            assert len(key) == 1 or key in plan
+
+    @pytest.mark.parametrize("kind", sorted(_SYSTEMS))
+    def test_fewer_products_than_sorted_prefixes(self, kind):
+        keys = _term_keys(_SYSTEMS[kind])
+        prefixes = {key[:n] for key in keys for n in range(2, len(key) + 1)}
+        assert len(prefixes) == _PREFIX_PRODUCTS[kind]
+        assert len(term_plan(polynomialize(_SYSTEMS[kind]))) < _PREFIX_PRODUCTS[kind]
+
+    def test_two_builds_give_the_same_plan(self):
+        keys = frozenset(_term_keys(_SYSTEMS["E2"]))
+        first, second = product_plan.__wrapped__(keys), product_plan.__wrapped__(keys)
+        assert list(first.items()) == list(second.items())
+        assert product_plan(keys) == first
+        # nor does the plan depend on string hashing
+        code = ("from awflow.polyident import polynomialize, term_plan; "
+                "from awflow.systems import SystemId; "
+                "print(list(term_plan(polynomialize(SystemId('E2'))).items()))")
+        src = os.path.dirname(os.path.dirname(awflow.__file__))
+        outs = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, check=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed,
+                                    "PYTHONPATH": src}).stdout
+                for seed in ("1", "2")}
+        assert outs == {repr(list(first.items())) + "\n"}
+
+    def test_one_plan_per_factor_structure(self):
+        plans = [term_plan(polynomialize(SystemId("S1", AloffWallach(k, l))))
+                 for k, l in ((2, 1), (3, 1), (1, -1))]
+        assert plans[0] is plans[1] is plans[2]

@@ -7,8 +7,9 @@ from awflow.cases import CASES, ConstraintError, MissingSlotValue, get_case
 from awflow.exact import TruncSeries
 from awflow.polyident import polynomialize
 from awflow.reptheory import AloffWallach
-from awflow.solver import (InconsistentSystem, P, SeriesSolution, _settled,
-                           check_smoothness, einstein_series, free_slots, solve_series)
+from awflow.solver import (InconsistentSystem, P, ResonantDatum, SeriesSolution,
+                           _settled, check_smoothness, einstein_series, free_slots,
+                           solve_series)
 from awflow.systems import SystemId
 
 
@@ -360,6 +361,37 @@ class TestEinstein:
     def test_no_einstein_catalog_for_projective_cases(self):
         with pytest.raises(ConstraintError):
             einstein_series("E", {"b0": 1, "q": 0}, 0, order=6, k=2, l=1)
+
+
+class TestEinsteinResonance:
+    """At the flag orbit C the cone datum f1 = +-12/n is an indicial root of
+    the Einstein recursion: a1[n] is left free, and no slot binds it."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_resonant_cone_datum_is_typed(self, n, sign):
+        f1 = sign * F(12, n)
+        with pytest.raises(ResonantDatum) as err:
+            # lambda cycles through -1, 0 and 1 with n
+            einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "f1": f1}, n % 3 - 1,
+                            order=n + 1)
+        assert isinstance(err.value, ConstraintError)
+        message = str(err.value)
+        assert f"order n = {n}:" in message
+        assert f"a1[{n}] free" in message
+        assert f"f1={f1}," in message
+
+    def test_non_resonant_control(self):
+        sol = einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "f1": F(5, 2)}, 1,
+                              order=14)
+        assert sol.order == 14
+        assert sol.verify_exact()
+
+    @pytest.mark.parametrize("f1", [5, 6])
+    def test_constant_row_stays_inconsistent(self, f1):
+        with pytest.raises(InconsistentSystem, match="reduces to"):
+            einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "asum1": 1, "f1": f1},
+                            1, order=6)
 
 
 class TestEinsteinCrossCheck:
