@@ -195,10 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_lambda(argv) -> list[str]:
-    """'--lambda -1/2' as '--lambda=-1/2': argparse takes '-1/2' for an option."""
+    """'--lambda -1/2' as '--lambda=-1/2': argparse takes '-1/2' for an option.
+    Any abbreviation from '--la' up is joined too ('--l' is its own option)."""
     out: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if out[-1:] == ["--lambda"] and arg[:1] == "-" and arg[1:2].isdigit():
+        prev = out[-1] if out else ""
+        if (len(prev) > 3 and "--lambda".startswith(prev) and arg[:1] == "-"
+                and arg[1:2].isdigit()):
             arg = out.pop() + "=" + arg
         out.append(arg)
     return out

@@ -93,9 +93,11 @@ def integrate(sys: SystemId, start: State, t_end: float, tol: float,
     """
     if not sys.is_first_order:
         raise ValueError("integrate needs a first-order system")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol:g}")
     t0 = start.t
+    if not math.isfinite(t_end):
+        raise ValueError(f"integration needs a finite t_end, got {t_end:g}")
     if not t_end > t0:
         raise ValueError(f"integration needs t_end > t0, got t0 = {t0:g}, "
                          f"t_end = {t_end:g}")

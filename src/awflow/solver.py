@@ -30,160 +30,84 @@ class ResonantDatum(ConstraintError):
     """An Einstein datum at which a coefficient no slot binds is free (exit code 3)."""
 
 
-# -- polynomial values over pending unknowns ------------------------------------
+# -- affine values over pending unknowns ----------------------------------------
 
 
-def _accumulate(acc: dict, mon: dict, qn: int = 1, qd: int = 1) -> None:
-    """Add (qn / qd) * mon to acc, which maps each monomial to the integer
-    ratios (n, d) of its terms; `_collect` sums each monomial once."""
-    for m, c in mon.items():
-        acc.setdefault(m, []).append((c.numerator * qn, c.denominator * qd))
+def _affine(acc: dict) -> dict:
+    """The affine form {pid: Fraction, None: constant} of an accumulator that
+    maps each key to the integer ratios (n, d) of its terms; zero terms drop."""
+    return {p: c for p, terms in acc.items() if (c := ratio_sum(terms))}
 
 
-def _collect(acc: dict) -> "P":
-    """The polynomial of an accumulator; cancelled monomials are dropped."""
-    mon = {}
-    for m, terms in acc.items():
-        c = ratio_sum(terms)
-        if c:
-            mon[m] = c
-    return P(mon)
+def _settle(form: dict) -> dict | tuple[int, int]:
+    """An affine form without pendings as its reduced pair (n, d)."""
+    if any(p is not None for p in form):
+        return form
+    return Fraction(form.get(None, 0)).as_integer_ratio()
 
 
-class P:
-    """Sparse polynomial in the pending unknowns, coefficients in Q.
-
-    Monomials are sorted tuples of (pid, exponent).  Rows of the linear step
-    are degree <= 1; products of unresolved coefficients may have higher
-    degree and wait until elimination or slot binding linearizes them.
-    """
-
-    __slots__ = ("mon",)
-
-    def __init__(self, mon=None):
-        self.mon = mon or {}
-
-    @classmethod
-    def const(cls, value) -> "P":
-        q = Fraction(value)
-        return cls({(): q} if q else {})
-
-    @classmethod
-    def pending(cls, pid: int) -> "P":
-        return cls({((pid, 1),): Fraction(1)})
-
-    @property
-    def is_const(self) -> bool:
-        return not self.mon or (len(self.mon) == 1 and () in self.mon)
-
-    @property
-    def value(self) -> Fraction:
-        return self.mon.get((), Fraction(0))
-
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.mon), default=0)
-
-    def pids(self) -> set[int]:
-        return {p for m in self.mon for p, _ in m}
-
-    def lin_items(self) -> dict[int, Fraction]:
-        """pid -> coefficient for a degree <= 1 polynomial."""
-        out = {}
-        for m, c in self.mon.items():
-            if m:
-                out[m[0][0]] = c
-        return out
-
-    def __mul__(self, other: "P") -> "P":
-        acc: dict = {}
-        for m1, c1 in self.mon.items():
-            for m2, c2 in other.mon.items():
-                powers = dict(m1)
-                for p, e in m2:
-                    powers[p] = powers.get(p, 0) + e
-                acc.setdefault(tuple(sorted(powers.items())), []).append(
-                    (c1.numerator * c2.numerator, c1.denominator * c2.denominator))
-        return _collect(acc)
-
-    def scaled(self, q) -> "P":
-        q = Fraction(q)
-        return P({m: c * q for m, c in self.mon.items()})
-
-    def subst(self, env: dict[int, "P"]) -> "P":
-        """Replace resolved pendings; env values are degree <= 1."""
-        if not any(p in env for m in self.mon for p, _ in m):
-            return self
-        acc: dict = {}
-        for m, c in self.mon.items():
-            if len(m) == 1 and m[0][1] == 1 and m[0][0] in env:
-                # a single pending to the first power: c times its substitute
-                _accumulate(acc, env[m[0][0]].mon, c.numerator, c.denominator)
-            elif not any(p in env for p, _ in m):
-                _accumulate(acc, {m: c})
-            else:
-                term = P.const(c)
-                for p, e in m:
-                    rep = env.get(p)
-                    base = rep if rep is not None else P.pending(p)
-                    for _ in range(e):
-                        term = term * base
-                _accumulate(acc, term.mon)
-        return _collect(acc)
+def _subst(form: dict, env: dict[int, dict]) -> dict:
+    """Replace the resolved pendings of an affine form by their affine forms."""
+    acc: dict = {}
+    for p, c in form.items():
+        for q, e in (env[p] if p in env else {p: 1}).items():
+            acc.setdefault(q, []).append((c.numerator * e.numerator,
+                                          c.denominator * e.denominator))
+    return _affine(acc)
 
 
-# -- streaming staircase solver ----------------------------------------------------
+def _fresh(value: tuple[int, int] | dict, env: dict[int, dict]) -> tuple[int, int] | dict:
+    """A live value with its resolved pendings replaced; a settled or an
+    untouched value comes back as it is."""
+    if type(value) is tuple or not any(p in env for p in value):
+        return value
+    return _settle(_subst(value, env))
 
 
-def _settled(poly: P) -> Fraction | P:
-    """A polynomial without pendings is kept as its plain Fraction value."""
-    return poly.value if poly.is_const else poly
-
-
-def _pair(value: Fraction | P) -> tuple[int, int] | P:
-    """A settled value as its reduced pair (n, d); a live one as it is."""
-    return (value.numerator, value.denominator) if type(value) is Fraction else value
-
-
-def _fresh(value: tuple[int, int] | P, env: dict[int, P]) -> tuple[int, int] | P:
-    """Replace resolved pendings in a live value."""
-    return value if type(value) is tuple else _pair(_settled(value.subst(env)))
-
-
-def _dot(products) -> tuple[int, int] | P:
+def _dot(products) -> tuple[int, int] | dict | None:
     """Sum of a * b over pairs of cache entries: settled products go through
-    one `pair_sum`, products that hold a live pending through the accumulator."""
+    one `pair_sum`, products with one live factor through the accumulator.
+    A product of two live factors, or of a `None` entry and a factor that is
+    not a settled zero, makes the sum `None`: not affine yet."""
     pairs, acc = [], {}
     for a, b in products:
         if type(a) is not tuple:
             a, b = b, a
         if type(a) is not tuple:
-            _accumulate(acc, (a * b).mon)
-        elif not a[0]:
+            return None
+        if not a[0]:
             continue
-        elif type(b) is not tuple:
-            _accumulate(acc, b.mon, *a)
-        elif b[0]:
-            pairs.append((a[0] * b[0], a[1] * b[1]))
+        if type(b) is tuple:
+            if b[0]:
+                pairs.append((a[0] * b[0], a[1] * b[1]))
+        elif b is None:
+            return None
+        else:
+            for p, c in b.items():
+                acc.setdefault(p, []).append((a[0] * c.numerator, a[1] * c.denominator))
     if not acc:
         return pair_sum(pairs)
-    acc.setdefault((), []).extend(pairs)
-    return _pair(_settled(_collect(acc)))
+    acc.setdefault(None, []).extend(pairs)
+    return _settle(_affine(acc))
+
+
+# -- streaming staircase solver ----------------------------------------------------
 
 
 class _Stream:
     """Streaming staircase: row j of every identity is processed at step j.
 
     Rows that are affine in the pending coefficients are eliminated exactly;
-    rows of higher degree wait (later eliminations and slot bindings
-    linearize them).  The system order d is the highest derivative in the
-    identities: coefficient o is introduced at step o - d, and a pending
-    still live at step o + d (a lag of 2d) is a free slot and consumes a
-    value from the binder.
+    a row with a product of two live pendings waits (later eliminations and
+    slot bindings linearize it).  The system order d is the highest
+    derivative in the identities: coefficient o is introduced at step o - d,
+    and a pending still live at step o + d (a lag of 2d) is a free slot and
+    consumes a value from the binder.
 
     Every product a term needs is cached once, split as `term_plan` says and
-    shared by all terms.  A settled coefficient, product or row is a reduced
-    pair (n, d), and a `P` only holds a value with a live pending; `_dot` sums
-    settled products in one `pair_sum`, live ones through the accumulator.
+    shared by all terms.  A settled value is a reduced pair (n, d), a live
+    one an affine form {pid: Fraction, None: constant}.  A cache entry or row
+    that is not affine yet is `None` and is computed again when it is read.
     """
 
     def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
@@ -198,12 +122,12 @@ class _Stream:
         self.internal = target_order + 3 * self.d
         self.slot_binder = slot_binder
         self.avoid_pivot = avoid_pivot
-        self.coeffs: dict[str, list[tuple[int, int] | P | None]] = {
+        self.coeffs: dict[str, list[tuple[int, int] | dict | None]] = {
             fn: [None] * (self.internal + 1) for fn in functions
         }
         for (fn, o), v in seeds.items():
-            self.coeffs[fn][o] = _pair(Fraction(v))
-        self.env: dict[int, P] = {}
+            self.coeffs[fn][o] = Fraction(v).as_integer_ratio()
+        self.env: dict[int, dict] = {}
         self.live: dict[int, tuple[str, int]] = {}  # pid -> (fn, order)
         self._next_pid = 0
         self.diagnostics: list[dict] = []
@@ -212,7 +136,7 @@ class _Stream:
         self._caches: dict[tuple[tuple[str, int], ...], list] = defaultdict(list)
         if lam is None and any(t.lam for ident in identities for t in ident.terms):
             raise ValueError("identity carries the Einstein constant; pass lambda")
-        self._terms = [[((q.numerator, q.denominator), t.factors) for t in ident.terms
+        self._terms = [[(q.as_integer_ratio(), t.factors) for t in ident.terms
                         if (q := t.coeff * (lam or 0) ** t.lam)] for ident in identities]
 
     # ---- coefficient bookkeeping
@@ -223,27 +147,29 @@ class _Stream:
             if self.coeffs[fn][order] is None:
                 pid = self._next_pid
                 self._next_pid += 1
-                self.coeffs[fn][order] = P.pending(pid)
+                self.coeffs[fn][order] = {pid: Fraction(1)}
                 self.live[pid] = (fn, order)
                 fresh.append(f"{fn}[{order}]")
         return fresh
 
-    def _coef(self, fn: str, order: int) -> tuple[int, int] | P:
+    def _coef(self, fn: str, order: int) -> tuple[int, int] | dict:
         value = self.coeffs[fn][order]
         if value is None:  # pragma: no cover - guarded by the staircase layout
             raise AssertionError(f"coefficient {fn}[{order}] read before introduction")
         value = self.coeffs[fn][order] = _fresh(value, self.env)
         return value
 
-    def _factor_coef(self, fn: str, dord: int, u: int) -> tuple[int, int] | P:
+    def _factor_coef(self, fn: str, dord: int, u: int) -> tuple[int, int] | dict:
         """Coefficient u of the dord-th derivative of fn, as a cache entry."""
         value, mult = self._coef(fn, u + dord), perm(u + dord, dord)
-        return _pair(Fraction(value[0] * mult, value[1]) if type(value) is tuple
-                     else value.scaled(mult))
+        if type(value) is tuple:
+            return Fraction(value[0] * mult, value[1]).as_integer_ratio()
+        return {p: c * mult for p, c in value.items()}
 
     # ---- identity coefficient via the shared product plan
 
-    def _product(self, key: tuple[tuple[str, int], ...], j: int) -> tuple[int, int] | P:
+    def _product(self, key: tuple[tuple[str, int], ...], j: int
+                 ) -> tuple[int, int] | dict | None:
         """Coefficient j of the product of the factors in `key`."""
         cache = self._caches[key]
         if len(cache) <= j:
@@ -251,47 +177,53 @@ class _Stream:
                 for jj in range(len(cache), j + 1):
                     cache.append(self._factor_coef(*key[0], jj))
             else:
-                left, right = self._plan[key]
-                self._product(left, j)
-                self._product(right, j)
+                for half in self._plan[key]:
+                    self._product(half, j)
                 for jj in range(len(cache), j + 1):
-                    cache.append(self._cauchy(self._caches[left], self._caches[right], jj))
-        cache[j] = _fresh(cache[j], self.env)
-        return cache[j]
+                    cache.append(self._cauchy(key, jj))
+        value = cache[j]
+        if type(value) is not tuple:
+            value = cache[j] = (self._cauchy(key, j) if value is None
+                                else _fresh(value, self.env))
+        return value
 
-    def _cauchy(self, left: list, right: list, j: int) -> tuple[int, int] | P:
-        """Coefficient j of the product of two cached series."""
-        for cache in (left, right):
+    def _cauchy(self, key: tuple[tuple[str, int], ...], j: int
+                ) -> tuple[int, int] | dict | None:
+        """Coefficient j of a product node from the two halves of its split."""
+        left, right = self._plan[key]
+        for half in (left, right):
+            cache = self._caches[half]
             for u in range(j + 1):
                 if type(cache[u]) is not tuple:
-                    cache[u] = _fresh(cache[u], self.env)
-        return _dot(zip(left[:j + 1], right[j::-1]))
+                    self._product(half, u)
+        return _dot(zip(self._caches[left][:j + 1], self._caches[right][j::-1]))
 
-    def _row(self, ident_idx: int, j: int) -> tuple[int, int] | P:
+    def _row(self, ident_idx: int, j: int) -> tuple[int, int] | dict | None:
         return _dot((coeff, self._product(key, j)) for coeff, key in self._terms[ident_idx])
 
     # ---- elimination
 
-    def _resolve(self, pid: int, expr: P) -> None:
-        self.env[pid] = expr
+    def _resolve(self, pid: int, form: dict) -> None:
+        self.env[pid] = form
         del self.live[pid]
-        sub = {pid: expr}
+        sub = {pid: form}
         for other, val in list(self.env.items()):
-            if pid in val.pids():
-                self.env[other] = val.subst(sub)
+            if pid in val:
+                self.env[other] = _subst(val, sub)
 
-    def _eliminate_row(self, label: str, row: tuple[int, int] | P, j, log: dict) -> bool:
-        """Use an affine row to resolve one pending; defer nonlinear rows."""
+    def _eliminate_row(self, ident_idx: int, j_row: int, j: int, log: dict) -> bool:
+        """Use an affine row to resolve one pending; defer a row not affine yet."""
+        row = self._row(ident_idx, j_row)
+        if row is None:
+            return False
         if type(row) is tuple:
             if row[0]:
                 raise InconsistentSystem(
-                    f"no formal solution at order {j}: identity {label!r} "
-                    f"reduces to {Fraction(*row)} = 0"
+                    f"no formal solution at order {j}: identity "
+                    f"{self.identities[ident_idx].label!r} reduces to "
+                    f"{Fraction(*row)} = 0"
                 )
             return True
-        if row.degree() > 1:
-            return False
-        lin = row.lin_items()
 
         # never pivot a declared slot coefficient while anything else is
         # available, so the free direction is reported in the cataloged
@@ -299,11 +231,10 @@ class _Stream:
         def rank_key(p):
             return (self.live[p] not in self.avoid_pivot, self.live[p][1], p)
 
-        pivot = max(lin, key=rank_key)
+        pivot = max((p for p in row if p is not None), key=rank_key)
         fn, order = self.live[pivot]
-        cp = lin[pivot]
-        rest = P({m: c for m, c in row.mon.items() if not (m and m[0][0] == pivot)})
-        self._resolve(pivot, rest.scaled(Fraction(-1) / cp))
+        cp = row[pivot]
+        self._resolve(pivot, {p: -c / cp for p, c in row.items() if p != pivot})
         log["rank"] += 1
         log["resolved"].append(f"{fn}[{order}]")
         return True
@@ -315,7 +246,7 @@ class _Stream:
         value = self.slot_binder(fn, order)
         self.free_slots_found.append((fn, order))
         log["free"].append(f"{fn}[{order}]")
-        self._resolve(pid, P.const(value))
+        self._resolve(pid, {None: Fraction(value)})
 
     def _overdue(self, j: int) -> list[int]:
         due = [p for p, (_, order) in self.live.items() if order <= j - self.d]
@@ -324,16 +255,13 @@ class _Stream:
     # ---- main loop
 
     def run(self) -> None:
-        deferred: list[tuple[str, tuple[int, int] | P]] = []
+        deferred: list[tuple[int, int]] = []
         for j in range(0, self.internal - self.d + 1):
             log = {"order": j, "introduced": [], "resolved": [], "free": [],
                    "rank": 0}
             for o in range(j + self.d + 1):
                 log["introduced"].extend(self._introduce(o))
-            queue = deferred + [
-                (ident.label, self._row(i, j))
-                for i, ident in enumerate(self.identities)
-            ]
+            queue = deferred + [(i, j) for i in range(len(self.identities))]
             deferred = self._drain(queue, j, log)
             # a free slot is bound only when elimination has stalled, so a
             # deferred row cannot still determine the coefficient
@@ -346,20 +274,15 @@ class _Stream:
         # and a row of step j <= target + 2d has factor orders summing to at
         # most j + 2d < 2 (target + d + 1) (target > 2d - 2), so it is affine
 
-    def _drain(self, queue: list[tuple[str, tuple[int, int] | P]], j: int, log: dict
-               ) -> list[tuple[str, tuple[int, int] | P]]:
+    def _drain(self, queue: list[tuple[int, int]], j: int, log: dict
+               ) -> list[tuple[int, int]]:
+        """Eliminate the queued rows (identity, step) until none makes
+        progress; the rows not affine yet are returned."""
         while True:
-            progressed = False
-            leftover = []
-            for label, row in queue:
-                row = _fresh(row, self.env)
-                if self._eliminate_row(label, row, j, log):
-                    progressed = True
-                else:
-                    leftover.append((label, row))
+            leftover = [item for item in queue if not self._eliminate_row(*item, j, log)]
+            if not leftover or len(leftover) == len(queue):
+                return leftover
             queue = leftover
-            if not queue or not progressed:
-                return queue
 
     def series(self) -> dict[str, TruncSeries]:
         out = {}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from awflow import cli
 from awflow.cli import main
 
 
@@ -187,7 +192,10 @@ _FLAG_EINSTEIN = ("series", "--case", "C", "--param", "a0=1", "--param", "b0=1",
     (_FLAG_EINSTEIN + ("--lambda", "1/0"), 3, "must be an exact rational"),
     (_FLAG_EINSTEIN + ("--lambda", "1.5"), 3, "must be an exact rational"),
     (("dims", "--orbit", "u12"), 2, "needs --k and --l"),
-], ids=["C-order-2", "D-order-2", "lambda-1/0", "lambda-float", "dims-no-kl"])
+    (("verify", "--case", "D", "--tol", "inf"), 2, "tolerance must be finite and positive"),
+    (("verify", "--case", "D", "--t-end", "inf"), 2, "needs a finite t_end"),
+], ids=["C-order-2", "D-order-2", "lambda-1/0", "lambda-float", "dims-no-kl",
+        "tol-inf", "t-end-inf"])
 def test_bad_input_ends_in_typed_exit(capsys, argv, code, message):
     got, _, err = run(capsys, *argv)
     assert got == code
@@ -204,9 +212,22 @@ def test_negative_rational_lambda_is_a_value(capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["lambda"] == "-1/2"
     assert run(capsys, *_SPHERE_EINSTEIN, "--lambda=-1/2") == (code, out, err)
+    for prefix in ("--la", "--lam", "--lamb", "--lambd"):
+        assert run(capsys, *_SPHERE_EINSTEIN, prefix, "-1/2") == (code, out, err)
     code, _, err = run(capsys, *_SPHERE_EINSTEIN, "--lambda", "-1/0")
     assert code == 3
     assert "must be an exact rational" in err
+
+
+def test_nan_tolerance_is_usage_error():
+    # a NaN tolerance never met the step controller's acceptance test
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "awflow.cli", "verify", "--case", "D",
+                           "--tol", "nan"], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert "usage error: tolerance must be finite and positive, got nan" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_resonant_einstein_datum_exits_3(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -7,8 +8,8 @@ from awflow.cases import CASES, ConstraintError, MissingSlotValue, get_case
 from awflow.exact import TruncSeries
 from awflow.polyident import polynomialize
 from awflow.reptheory import AloffWallach
-from awflow.solver import (InconsistentSystem, P, ResonantDatum, SeriesSolution,
-                           _settled, check_smoothness, einstein_series, free_slots,
+from awflow.solver import (InconsistentSystem, ResonantDatum, SeriesSolution, _dot,
+                           _fresh, check_smoothness, einstein_series, free_slots,
                            solve_series)
 from awflow.systems import SystemId
 
@@ -411,58 +412,70 @@ class TestEinsteinCrossCheck:
             assert res.is_zero(), (cid, ident.label)
 
 
-def _to_sympy(poly):
+def _to_sympy(value):
+    """A staircase value, a reduced pair or an affine form, as a sympy expression."""
+    if type(value) is tuple:
+        return sp.Rational(*value)
     return sum((sp.Rational(c.numerator, c.denominator)
-                * sp.Mul(*(sp.Symbol(f"x{p}") ** e for p, e in m))
-                for m, c in poly.mon.items()), sp.Integer(0))
+                * (sp.Integer(1) if p is None else sp.Symbol(f"x{p}"))
+                for p, c in value.items()), sp.Integer(0))
 
 
 def _lin(const=0, **coeffs):
-    """Degree-1 polynomial: _lin(1, x2=3) is 3 x2 + 1."""
-    mon = {((int(name[1:]), 1),): F(c) for name, c in coeffs.items()}
+    """Affine form: _lin(1, x2=3) is 3 x2 + 1."""
+    form = {int(name[1:]): F(c) for name, c in coeffs.items()}
     if const:
-        mon[()] = F(const)
-    return P(mon)
+        form[None] = F(const)
+    return form
 
 
 class TestSubstitution:
-    """P.subst against a sympy expansion of the same substitution."""
+    """_fresh on affine forms against a sympy expansion of the same substitution."""
 
-    def check(self, poly, env):
-        got = poly.subst(env)
-        expect = sp.expand(_to_sympy(poly).subs(
+    def check(self, form, env):
+        got = _fresh(form, env)
+        expect = sp.expand(_to_sympy(form).subs(
             {sp.Symbol(f"x{p}"): _to_sympy(v) for p, v in env.items()},
             simultaneous=True))
         assert sp.expand(_to_sympy(got) - expect) == 0
-        assert all(c != 0 and type(c) is F for c in got.mon.values())
-        assert all(list(m) == sorted(m) for m in got.mon)
+        if type(got) is tuple:
+            assert got[1] > 0 and gcd(*got) == 1
+        else:
+            assert any(p is not None for p in got)
+            assert all(c != 0 and type(c) is F for c in got.values())
         return got
 
-    def test_degree_two_monomial(self):
-        # 3 x0^2 x1 - x1 + 5 with x0 -> 2 x2 + 1 and x1 -> x2 - 1/2
-        poly = P({((0, 2), (1, 1)): F(3), ((1, 1),): F(-1), (): F(5)})
-        got = self.check(poly, {0: _lin(1, x2=2), 1: _lin(F(-1, 2), x2=1)})
-        assert got.degree() == 3
-
     def test_pending_missing_from_env(self):
-        poly = P({((0, 1), (3, 2)): F(2), ((3, 1),): F(-4), ((0, 1),): F(1, 7)})
-        got = self.check(poly, {0: _lin(-1, x5=F(1, 3))})
-        assert got.pids() == {3, 5}
-        untouched = P({((3, 1),): F(2)})
-        assert untouched.subst({0: _lin(1)}) is untouched
+        form = _lin(F(1, 7), x0=2, x3=-4)
+        got = self.check(form, {0: _lin(-1, x5=F(1, 3))})
+        assert set(got) == {None, 3, 5}
+        untouched = _lin(x3=2)
+        assert _fresh(untouched, {0: _lin(1)}) is untouched
 
     def test_cancellation_leaves_no_zero(self):
-        # x0 + x1 - 2 with x0 -> 2 - x1 vanishes; x0 x1 + x1 partly cancels
-        zero = self.check(P({((0, 1),): F(1), ((1, 1),): F(1), (): F(-2)}),
-                          {0: _lin(2, x1=-1)})
-        assert zero.mon == {}
-        assert _settled(zero) == 0 and type(_settled(zero)) is F
-        part = self.check(P({((0, 1), (1, 1)): F(1), ((1, 1),): F(1)}),
-                          {0: _lin(-1, x2=1)})
-        assert part.mon == {((1, 1), (2, 1)): F(1)}
+        # x0 + x1 - 2 with x0 -> 2 - x1 vanishes; x0 + x1 with x0 -> x2 - x1
+        # keeps only x2
+        assert self.check(_lin(-2, x0=1, x1=1), {0: _lin(2, x1=-1)}) == (0, 1)
+        assert self.check(_lin(x0=1, x1=1), {0: _lin(x1=-1, x2=1)}) == {2: F(1)}
 
-    def test_fully_resolved_value_settles_to_fraction(self):
-        poly = P({((0, 1), (1, 1)): F(2), ((0, 1),): F(1), (): F(-1, 3)})
-        value = _settled(self.check(poly, {0: P.const(3), 1: P.const(F(1, 2))}))
-        assert type(value) is F
-        assert value == F(17, 3)
+    def test_fully_resolved_value_settles_to_reduced_pair(self):
+        # 2 x0 + x1 / 2 - 1/3 at x0 = 3, x1 = 1/2
+        value = self.check(_lin(F(-1, 3), x0=2, x1=F(1, 2)),
+                           {0: _lin(3), 1: _lin(F(1, 2))})
+        assert value == (71, 12)
+
+
+class TestDot:
+    """_dot sums products of staircase values; None marks a sum not affine yet."""
+
+    def test_two_live_factors_give_none(self):
+        assert _dot([(_lin(x0=1), _lin(1, x1=1))]) is None
+        assert _dot([((1, 2), (3, 1)), ((2, 1), None)]) is None
+
+    def test_zero_settled_factor_times_none_contributes_nothing(self):
+        assert _dot([((0, 1), None), ((1, 2), (4, 3))]) == (2, 3)
+        got = _dot([(None, (0, 1)), ((2, 1), _lin(1, x0=3)), ((1, 3), (3, 1))])
+        assert got == {0: F(6), None: F(3)}
+
+    def test_cancelled_live_terms_settle(self):
+        assert _dot([((1, 1), _lin(1, x0=2)), ((-1, 1), _lin(x0=2))]) == (1, 1)
