@@ -16,7 +16,7 @@ from typing import Callable
 
 from .exact import rat
 from .reptheory import TORUS_ORBITS, AloffWallach, circle_normalization
-from .systems import SystemId
+from .systems import S1_FUNCTIONS, S2_FUNCTIONS, SystemId
 
 Params = dict[str, Fraction]
 Values = dict[str, Fraction]
@@ -155,6 +155,20 @@ class OrbitCase:
             if params[name] == 0:
                 raise ConstraintError(f"parameter {name!r} must be nonzero")
         return params
+
+    def param_names(self, einstein: bool = False) -> list[str]:
+        """The parameter names a holonomy solve of the case reads, or with
+        einstein its diagonal Einstein solve, sorted."""
+        fns = S1_FUNCTIONS if self.system_kind == "S1" else S2_FUNCTIONS
+        names = {*self.required_params, *(f"{fn}0" for fn in fns)}
+        spec = self.einstein if einstein else None
+        if spec is None:
+            names.update(s.param for s in self.slots)
+        else:
+            names.update(p for p, _, _ in spec.combo_slots)
+            names.update(s.param for s in spec.coeff_slots)
+            names.update(["f1"] if self.orbit in TORUS_ORBITS else [])
+        return sorted(names)
 
     def initial_values(self, aw: AloffWallach, params: dict[str, Fraction]) -> Values:
         """Values at t=0; an optional <fn>0 parameter must match a forced value."""

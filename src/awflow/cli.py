@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -45,7 +46,26 @@ def _parse_params(items) -> dict[str, Fraction]:
     return params
 
 
-def cmd_dims(args) -> int:
+def _check_names(case_ids, params: dict, einstein: bool = False) -> None:
+    """Reject a parameter name that none of the requested cases reads."""
+    accepted = sorted({name for cid in case_ids
+                       for name in get_case(cid).param_names(einstein)})
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"no requested case reads the parameter(s) {', '.join(unknown)}; "
+                         f"accepted names: {', '.join(accepted)}")
+
+
+def _output(payload: str, out: str | None) -> str:
+    """Write the payload to the file `out`, or return it for stdout."""
+    if not out:
+        return payload
+    with open(out, "w") as fh:
+        fh.write(payload + "\n")
+    return ""
+
+
+def cmd_dims(args) -> tuple[int, str]:
     rows = []
     if args.m_max < 0:
         raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
@@ -63,32 +83,23 @@ def cmd_dims(args) -> int:
                 rows.append({"m": m, "part": part,
                              "dim": dim_W(aw, args.orbit, m, part)})
     if args.format == "json":
-        print(json.dumps(rows))
-    elif args.format == "csv":
-        print("m,part,dim")
-        for r in rows:
-            print(f"{r['m']},{r['part']},{r['dim']}")
-    else:
-        for r in rows:
-            print(f"m={r['m']:2d}  part={r['part']}  dim={r['dim']}")
-    return 0
+        return 0, json.dumps(rows)
+    if args.format == "csv":
+        return 0, "\n".join(["m,part,dim", *(f"{r['m']},{r['part']},{r['dim']}"
+                                              for r in rows)])
+    return 0, "\n".join(f"m={r['m']:2d}  part={r['part']}  dim={r['dim']}" for r in rows)
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> tuple[int, str]:
     params = _parse_params(args.param)
+    _check_names([args.case], params, args.einstein)
     if args.einstein:
         sol = einstein_series(args.case, params, _exact("lambda", args.lam or "0"),
                               order=args.order, k=args.k, l=args.l)
     else:
         sol = solve_series(args.case, params, order=args.order,
                            k=args.k, l=args.l)
-    payload = json.dumps(sol.to_json(), indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    return 0
+    return 0, _output(json.dumps(sol.to_json(), indent=2), args.out)
 
 
 def _verify_one(job) -> dict:
@@ -107,35 +118,28 @@ def _fill_defaults(case_id: str, params: dict) -> dict:
     return out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     params = _parse_params(args.param)
     kw = dict(k=args.k, l=args.l, t0=args.t0, t_end=args.t_end, tol=args.tol,
               order=args.order)
     if args.fault_inject:
         fn, _, order = args.fault_inject.partition(":")
         kw["fault_inject"] = (fn, int(order))
-    cases = args.case.split(",")
-    jobs = [(cid.strip().upper(), _fill_defaults(cid.strip().upper(), params), kw)
-            for cid in cases]
+    cases = [cid.strip().upper() for cid in args.case.split(",")]
+    _check_names(cases, params)
+    jobs = [(cid, _fill_defaults(cid, params), kw) for cid in cases]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_verify_one, jobs))
     else:
         reports = [_verify_one(job) for job in jobs]
     out = reports[0] if len(reports) == 1 else reports
-    payload = json.dumps(out, indent=2, default=str)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    ok = all(r["ok"] for r in reports)
-    return 0 if ok else EXIT_VERIFY
+    code = 0 if all(r["ok"] for r in reports) else EXIT_VERIFY
+    return code, _output(json.dumps(out, indent=2, default=str), args.out)
 
 
-def cmd_cases(args) -> int:
-    print(json.dumps(catalog_json(), indent=2))
-    return 0
+def cmd_cases(args) -> tuple[int, str]:
+    return 0, json.dumps(catalog_json(), indent=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +214,7 @@ def _join_negative_lambda(argv) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_negative_lambda(argv))
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except ConstraintError as exc:
         print(f"constraint error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
@@ -223,6 +227,14 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if text:
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout: point it at devnull, as the Python
+            # docs advise, so that the flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -85,6 +85,15 @@ def term_plan(identities) -> MappingProxyType:
 
 
 @cache
+def node_leaves(keys: frozenset) -> MappingProxyType:
+    """node -> its distinct leaves, for every leaf, every node of
+    `product_plan(keys)` and every key; smaller nodes come first."""
+    nodes = {*keys, *product_plan(keys), *((f,) for key in keys for f in key)}
+    return MappingProxyType({node: tuple(sorted(set(node)))
+                             for node in sorted(nodes, key=lambda n: (len(n), n))})
+
+
+@cache
 def product_plan(keys: frozenset) -> MappingProxyType:
     """node -> (left, right) for every product of two or more factors that the
     terms, keyed by their sorted factor tuples, need.  Greedy: the pair of

@@ -13,11 +13,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import perm
+from itertools import permutations
+from math import lcm, perm
 
 from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
 from .exact import TruncSeries, pair_sum, rat, rat_str, ratio_sum
-from .polyident import PolyIdentity, eval_identities, polynomialize, term_plan
+from .polyident import (PolyIdentity, eval_identities, node_leaves, polynomialize,
+                        product_plan)
 from .reptheory import AloffWallach
 from .systems import SystemId
 
@@ -104,10 +106,13 @@ class _Stream:
     and a pending still live at step o + d (a lag of 2d) is a free slot and
     consumes a value from the binder.
 
-    Every product a term needs is cached once, split as `term_plan` says and
+    Every product a term needs is cached once, split as `product_plan` says and
     shared by all terms.  A settled value is a reduced pair (n, d), a live
-    one an affine form {pid: Fraction, None: constant}.  A cache entry or row
-    that is not affine yet is `None` and is computed again when it is read.
+    one an affine form {pid: Fraction, None: constant}.  In the bootstrap a
+    cache entry or row that is not affine yet is `None` and is computed again
+    when it is read.  After the bootstrap (see `_go_linear`) every entry is a
+    pair that reads the unsettled coefficients as 0, patched as they settle,
+    and a row is its settled part plus the leading-order L(j) times them.
     """
 
     def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
@@ -132,12 +137,21 @@ class _Stream:
         self._next_pid = 0
         self.diagnostics: list[dict] = []
         self.free_slots_found: list[tuple[str, int]] = []
-        self._plan = term_plan(identities)
         self._caches: dict[tuple[tuple[str, int], ...], list] = defaultdict(list)
+        # linear phase: the coefficients the entries read as 0; per function the
+        # (cache, leaf order, low coefficients of d node / d leaf) of its nodes;
+        # per identity (fn, delta) -> (den, ((dord, num), ...)) with
+        # L_{fn[j+delta]}(j) = sum num perm(j + delta, dord) / den
+        self._zeroed: dict[tuple[str, int], None] | None = None
+        self._tops: set[tuple[tuple[str, int], ...]] = set()
+        self._patch: dict[str, list[tuple[list, int, list]]] = {}
+        self._lin: list[dict[tuple[str, int], tuple]] = []
         if lam is None and any(t.lam for ident in identities for t in ident.terms):
             raise ValueError("identity carries the Einstein constant; pass lambda")
         self._terms = [[(q.as_integer_ratio(), t.factors) for t in ident.terms
                         if (q := t.coeff * (lam or 0) ** t.lam)] for ident in identities]
+        self._keys = frozenset(key for terms in self._terms for _, key in terms)
+        self._plan = product_plan(self._keys)
 
     # ---- coefficient bookkeeping
 
@@ -161,6 +175,8 @@ class _Stream:
 
     def _factor_coef(self, fn: str, dord: int, u: int) -> tuple[int, int] | dict:
         """Coefficient u of the dord-th derivative of fn, as a cache entry."""
+        if self._zeroed is not None and (fn, u + dord) in self._zeroed:
+            return 0, 1
         value, mult = self._coef(fn, u + dord), perm(u + dord, dord)
         if type(value) is tuple:
             return Fraction(value[0] * mult, value[1]).as_integer_ratio()
@@ -191,6 +207,9 @@ class _Stream:
                 ) -> tuple[int, int] | dict | None:
         """Coefficient j of a product node from the two halves of its split."""
         left, right = self._plan[key]
+        if self._zeroed is not None:
+            return pair_sum((a * b, c * e) for (a, c), (b, e) in zip(
+                self._caches[left][:j + 1], self._caches[right][j::-1]) if a and b)
         for half in (left, right):
             cache = self._caches[half]
             for u in range(j + 1):
@@ -199,7 +218,115 @@ class _Stream:
         return _dot(zip(self._caches[left][:j + 1], self._caches[right][j::-1]))
 
     def _row(self, ident_idx: int, j: int) -> tuple[int, int] | dict | None:
-        return _dot((coeff, self._product(key, j)) for coeff, key in self._terms[ident_idx])
+        if self._zeroed is None:
+            return _dot((coeff, self._product(key, j)) for coeff, key in self._terms[ident_idx])
+        products = [(coeff, self._top(key, j)) for coeff, key in self._terms[ident_idx]]
+        for fn, o in self._zeroed:  # plus L(j) times each unsettled coefficient
+            if (a := self._lin[ident_idx].get((fn, o - j))) is not None:
+                products.append(((sum(n * perm(o, dord) for dord, n in a[1]), a[0]),
+                                 self._coef(fn, o)))
+        return _dot(products)
+
+    # ---- linear phase
+
+    def _top(self, key: tuple[tuple[str, int], ...], j: int) -> tuple[int, int]:
+        """Coefficient j of a term's product, uncached for a top one."""
+        if key not in self._tops:
+            return self._product(key, j)
+        for half in self._plan[key]:
+            self._product(half, j)
+        return self._cauchy(key, j)
+
+    def _go_linear(self, j: int) -> None:
+        """Switch at the start of step j = 4d + 1 or later, with no row deferred.
+
+        Every declared slot has order <= 3d and the Einstein systems declare
+        none, so all slots are bound by step 4d; with no slot left a pivot is
+        the freshest unknown, so a resolved form holds only pendings of at
+        most its own order, and `_overdue` leaves none below j - d.  Every
+        unsettled coefficient thus has order >= j - d and enters a product
+        at index >= j - 2d: no coefficient of index <= j of any product holds
+        two of them (2 (j - 2d) > j), and every row is affine in them.  The
+        rows that are not affine (E, G and H at step 3, the Einstein trace
+        row of D through step 4) all lie in the bootstrap.
+        """
+        d, keep = self.d, j - 2 * self.d
+        for key, cache in list(self._caches.items()):  # entries below keep are final
+            del cache[keep:]
+            for m, value in enumerate(cache):
+                if type(value) is not tuple:
+                    self._product(key, m)
+        assert all(type(self._coef(fn, o)) is tuple for fn in self.functions
+                   for o in range(j - d))
+        zeroed = {(fn, o): None for fn in self.functions for o in range(j - d, j + d)
+                  if type(self._coef(fn, o)) is not tuple}
+        # dN/dl = dL/dl R + L dR/dl over the split N = L R, to index d + dord
+        # of the leaf l = (fn, dord): it reads entries <= 2d, all final.  A top
+        # product, a term's that is no node's half, is not cached from here
+        # on, as nothing reads it again; its dN/dl only feeds the constants A.
+        nodes, deriv, low = node_leaves(self._keys), {}, {}
+        halves = {half for split in self._plan.values() for half in split}
+        self._tops = {key for key in self._keys if len(key) > 1 and key not in halves}
+
+        def products(node):  # (leaf, index, pair): the terms of dN/dl
+            for a, b in permutations(self._plan[node]):
+                for leaf, series in deriv[a].items():
+                    for u, (x, dx) in enumerate(series):
+                        for v, y, dy in low[b] if x else ():
+                            if u + v <= d + leaf[1]:
+                                yield leaf, u + v, (x * y, dx * dy)
+
+        for node, leaves in nodes.items():
+            if node in self._tops:
+                self._caches.pop(node, None)
+                continue
+            self._product(node, 2 * d)
+            cache = self._caches[node]
+            low[node] = [(v, y, dy) for v, (y, dy) in enumerate(cache[:2 * d + 1]) if y]
+            sums = {leaf: [[] for _ in range(d + leaf[1] + 1)] for leaf in leaves}
+            for leaf, k, pair in products(node) if len(node) > 1 else [(node[0], 0, (1, 1))]:
+                sums[leaf][k].append(pair)
+            deriv[node] = {leaf: [t[0] if len(t) == 1 else pair_sum(t) for t in terms]
+                           for leaf, terms in sums.items()}
+            for (fn, dord), series in deriv[node].items():
+                self._patch.setdefault(fn, []).append((cache, dord, series))
+        for terms in self._terms:
+            acc = defaultdict(list)
+            for (cn, cd), key in terms:
+                items = products(key) if key in self._tops else (
+                    (leaf, k, p) for leaf, series in deriv[key].items()
+                    for k, p in enumerate(series))
+                for (fn, dord), k, (n, den) in items:
+                    if n:
+                        acc[fn, dord - k, dord].append((cn * n, cd * den))
+            lin = defaultdict(list)
+            for (fn, delta, dord), pairs in acc.items():
+                if (a := pair_sum(pairs))[0]:
+                    lin[fn, delta].append((dord, a))
+            self._lin.append({c: (den := lcm(*(a[1] for _, a in row)), tuple(
+                (dord, n * (den // ad)) for dord, (n, ad) in row)) for c, row in lin.items()})
+        self._zeroed = zeroed
+
+    def _sync(self, j: int) -> None:
+        """Patch every entry that read a now settled coefficient as 0, one
+        `pair_sum` per entry, and read the coefficients of order j + d as 0."""
+        patches, caches = defaultdict(list), {}  # (cache id, index) -> pairs
+        for fn, o in list(self._zeroed):
+            if type(value := self._coef(fn, o)) is not tuple:
+                continue
+            del self._zeroed[fn, o]
+            for cache, dord, series in self._patch[fn] if value[0] else ():
+                caches[id(cache)] = cache
+                scale = value[0] * perm(o, dord)
+                for m in range(o - dord, len(cache)):
+                    n, den = series[m - o + dord]  # index <= d + dord
+                    if n:
+                        patches[id(cache), m].append((scale * n, value[1] * den))
+        for (key, m), pairs in patches.items():
+            pairs.append(caches[key][m])
+            caches[key][m] = pair_sum(pairs)
+        for fn in self.functions:
+            self._zeroed[fn, j + self.d] = None
 
     # ---- elimination
 
@@ -257,10 +384,14 @@ class _Stream:
     def run(self) -> None:
         deferred: list[tuple[int, int]] = []
         for j in range(0, self.internal - self.d + 1):
+            if self._zeroed is None and j > 4 * self.d and not deferred:
+                self._go_linear(j)
             log = {"order": j, "introduced": [], "resolved": [], "free": [],
                    "rank": 0}
             for o in range(j + self.d + 1):
                 log["introduced"].extend(self._introduce(o))
+            if self._zeroed is not None:
+                self._sync(j)
             queue = deferred + [(i, j) for i in range(len(self.identities))]
             deferred = self._drain(queue, j, log)
             # a free slot is bound only when elimination has stalled, so a

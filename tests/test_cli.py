@@ -194,8 +194,13 @@ _FLAG_EINSTEIN = ("series", "--case", "C", "--param", "a0=1", "--param", "b0=1",
     (("dims", "--orbit", "u12"), 2, "needs --k and --l"),
     (("verify", "--case", "D", "--tol", "inf"), 2, "tolerance must be finite and positive"),
     (("verify", "--case", "D", "--t-end", "inf"), 2, "needs a finite t_end"),
+    (("series", "--einstein", "--case", "D", "--param", "b0=1", "--param", "f0=1",
+      "--param", "bdif1=1/2", "--lambda", "1", "--order", "6"), 2,
+     "parameter(s) bdif1; accepted names: a0, a3, b0, bdiff1, c0, f0"),
+    (("verify", "--case", "F", "--param", "q=1/2"), 2,
+     "parameter(s) q; accepted names: a10, a20, b0, c0, f0, q1, q2"),
 ], ids=["C-order-2", "D-order-2", "lambda-1/0", "lambda-float", "dims-no-kl",
-        "tol-inf", "t-end-inf"])
+        "tol-inf", "t-end-inf", "misspelled-einstein-param", "misspelled-slot-param"])
 def test_bad_input_ends_in_typed_exit(capsys, argv, code, message):
     got, _, err = run(capsys, *argv)
     assert got == code
@@ -228,6 +233,21 @@ def test_nan_tolerance_is_usage_error():
     assert proc.returncode == 2
     assert "usage error: tolerance must be finite and positive, got nan" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("nbytes", [0, 10])
+def test_closed_stdout_keeps_the_exit_code(nbytes):
+    # the reader closes the pipe before any output, or after reading 10 bytes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "awflow.cli", "series", "--case", "D",
+                             "--param", "b0=1", "--param", "f0=1", "--order", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert len(os.read(proc.stdout.fileno(), nbytes)) == nbytes
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err
 
 
 def test_resonant_einstein_datum_exits_3(capsys):

@@ -1,9 +1,10 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, perm
 
 import pytest
 import sympy as sp
 
+from awflow import polyident, solver
 from awflow.cases import CASES, ConstraintError, MissingSlotValue, get_case
 from awflow.exact import TruncSeries
 from awflow.polyident import polynomialize
@@ -479,3 +480,62 @@ class TestDot:
 
     def test_cancelled_live_terms_settle(self):
         assert _dot([((1, 1), _lin(1, x0=2)), ((-1, 1), _lin(x0=2))]) == (1, 1)
+
+
+def _final_stream(monkeypatch, solve):
+    """Run `solve` and return the last staircase it ran, with its solution."""
+    streams = []
+    run = solver._Stream.run
+
+    def recording(self):
+        run(self)
+        streams.append(self)
+
+    monkeypatch.setattr(solver._Stream, "run", recording)
+    return solve(), streams[-1]
+
+
+_HOLONOMY_28 = [
+    ("C", {"a0": 5, "b0": 3, "c0": 4}, {}), ("D", {"b0": F(3, 2), "f0": F(2, 3)}, {}),
+    ("E", {"b0": F(2, 3), "q": F(1, 2)}, {"k": 2, "l": 1}),
+    ("F", {"b0": F(3, 2), "q1": 1, "q2": F(1, 3)}, {}),
+    ("G", {"a0": F(5, 3), "q": F(1, 2)}, {}), ("H", {"a0": F(2, 5), "q": F(1, 2)}, {})]
+_A_21 = {"a0": F(3, 2), "b0": 1, "c0": F(2, 3)}
+
+
+class TestLinearPhase:
+    """After the bootstrap the product caches hold settled pairs that read the
+    unsettled coefficients as 0 and are patched as these settle."""
+
+    @pytest.mark.parametrize("solve", [
+        *(lambda c=c, p=p, kw=kw: solve_series(c, p, order=28, **kw)
+          for c, p, kw in _HOLONOMY_28),
+        lambda: solve_series("A", _A_21, order=20, k=2, l=1),
+        lambda: solve_series("E", {"b0": 1, "q": 1}, order=20, k=2, l=1),
+        lambda: einstein_series("A", {**_A_21, "f3": 1}, 1, order=12, k=2, l=1),
+        lambda: einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "f3": 1}, -1, order=12),
+        lambda: einstein_series("D", {"b0": F(3, 2), "f0": F(2, 3)}, 1, order=12),
+    ], ids=["C", "D", "E", "F", "G", "H", "A-21", "E-21", "einstein-A", "einstein-C",
+            "einstein-D"])
+    def test_cache_entries_equal_the_products_of_the_final_series(self, monkeypatch,
+                                                                   solve):
+        sol, stream = _final_stream(monkeypatch, solve)
+        assert stream._zeroed is not None  # the linear phase ran
+        base = sol.order
+        prods = {((fn, d),): [(c.numerator * perm(i + d, d), c.denominator)
+                              for i, c in enumerate(sol.functions[fn].coef[d:base + 1])]
+                 for key in stream._keys for fn, d in key}
+        for key, cache in stream._caches.items():
+            want = polyident._product(prods, stream._plan, key)
+            assert all(type(v) is tuple for v in cache), key
+            assert [F(*v) for v in cache[:len(want)]] == [F(*v) for v in want], key
+
+    def test_declared_slots_are_bound_within_the_bootstrap(self):
+        # the switch at step 4d + 1 needs every declared slot at order <= 3d,
+        # and no holonomy slot where the Einstein staircase avoids pivots
+        for case in CASES.values():
+            aw = case.resolve_aw(2, 1) if case.fixed_kl is None else case.resolve_aw()
+            d = max(dord for ident in polynomialize(case.system(aw))
+                    for t in ident.terms for _, dord in t.factors)
+            assert all(s.order <= 3 * d for s in case.slots), case.id
+            assert case.einstein is None or not case.slots, case.id
