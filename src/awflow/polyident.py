@@ -7,8 +7,7 @@ into the straight-line float code of the flow and of the Einstein residual.
 """
 from __future__ import annotations
 
-import heapq
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -85,68 +84,39 @@ def term_plan(identities) -> MappingProxyType:
 
 
 @cache
-def node_leaves(keys: frozenset) -> MappingProxyType:
-    """node -> its distinct leaves, for every leaf, every node of
-    `product_plan(keys)` and every key; smaller nodes come first."""
-    nodes = {*keys, *product_plan(keys), *((f,) for key in keys for f in key)}
-    return MappingProxyType({node: tuple(sorted(set(node)))
-                             for node in sorted(nodes, key=lambda n: (len(n), n))})
-
-
-@cache
 def product_plan(keys: frozenset) -> MappingProxyType:
     """node -> (left, right) for every product of two or more factors that the
     terms, keyed by their sorted factor tuples, need.  Greedy: the pair of
     sub-products held by the most terms (ties: the lexicographically least)
     is merged in each term holding it, until every term is one node.  The
-    terms holding each pair are kept incrementally, ranked by a lazy heap.
+    pairs are counted afresh at every merge; the plan is built once per key
+    set.
     """
     nodes = sorted({(f,) for key in keys for f in key})
     ids = {node: i for i, node in enumerate(nodes)}
     plan: dict = {}
-
-    def pairs(term: Counter) -> set:
-        s = sorted(term)
-        return {(x, y) for i, x in enumerate(s) for y in s[i + (term[x] < 2):]}
-
-    def entry(pair: tuple) -> tuple:
-        return -len(held[pair]), nodes[pair[0]], nodes[pair[1]], pair
-
     terms = [Counter(ids[(f,)] for f in key) for key in sorted(keys) if len(key) > 1]
-    held = defaultdict(set)  # pair of ids -> indices of the terms holding it
-    for t, term in enumerate(terms):
-        for pair in pairs(term):
-            held[pair].add(t)
-    heap = [entry(pair) for pair in held]
-    heapq.heapify(heap)
-    while heap:
-        count, _, _, (x, y) = heapq.heappop(heap)
-        if len(held[x, y]) != -count:  # stale: the count changed since the push
-            if held[x, y]:
-                heapq.heappush(heap, entry((x, y)))
-            continue
+    while True:
+        held = Counter()  # pair of ids, the lower first -> terms holding it
+        for term in terms:
+            s = sorted(term)
+            held.update((x, y) for i, x in enumerate(s) for y in s[i + (term[x] < 2):])
+        if not held:
+            return MappingProxyType(plan)
+        most = max(held.values())
+        x, y = min((pair for pair, n in held.items() if n == most),
+                   key=lambda pair: (nodes[pair[0]], nodes[pair[1]]))
         node = tuple(sorted(nodes[x] + nodes[y]))
         if node not in ids:
             ids[node], plan[node] = len(nodes), (nodes[x], nodes[y])
             nodes.append(node)
-        z, grown = ids[node], set()
-        for t in sorted(held[x, y]):
-            term = terms[t]
-            old, k = pairs(term), min(term[x], term[y]) // (1 + (x == y))
-            term.subtract([x, y] * k)
-            term[z] += k
-            for s in {x, y}:
-                if not term[s]:
-                    del term[s]
-            new = pairs(term)
-            for pair in old - new:
-                held[pair].discard(t)
-            for pair in new - old:  # each holds z
-                held[pair].add(t)
-            grown |= new - old
-        for pair in grown:
-            heapq.heappush(heap, entry(pair))
-    return MappingProxyType(plan)
+        for term in terms:
+            if k := min(term[x], term[y]) // (1 + (x == y)):
+                term.subtract([x, y] * k)
+                term[ids[node]] += k
+                for old in {x, y}:
+                    if not term[old]:
+                        del term[old]
 
 
 def _t(coeff, *factors, lam=0):

@@ -18,8 +18,7 @@ from math import lcm, perm
 
 from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
 from .exact import TruncSeries, pair_sum, rat, rat_str, ratio_sum
-from .polyident import (PolyIdentity, eval_identities, node_leaves, polynomialize,
-                        product_plan)
+from .polyident import PolyIdentity, eval_identities, polynomialize, product_plan
 from .reptheory import AloffWallach
 from .systems import SystemId
 
@@ -261,44 +260,38 @@ class _Stream:
         zeroed = {(fn, o): None for fn in self.functions for o in range(j - d, j + d)
                   if type(self._coef(fn, o)) is not tuple}
         # dN/dl = dL/dl R + L dR/dl over the split N = L R, to index d + dord
-        # of the leaf l = (fn, dord): it reads entries <= 2d, all final.  A top
-        # product, a term's that is no node's half, is not cached from here
-        # on, as nothing reads it again; its dN/dl only feeds the constants A.
-        nodes, deriv, low = node_leaves(self._keys), {}, {}
+        # of the leaf l = (fn, dord): it reads the halves' entries <= 2d, all
+        # final.  A top product, a term's that is no node's half, is not
+        # cached from here on, as nothing reads it again.
         halves = {half for split in self._plan.values() for half in split}
         self._tops = {key for key in self._keys if len(key) > 1 and key not in halves}
-
-        def products(node):  # (leaf, index, pair): the terms of dN/dl
-            for a, b in permutations(self._plan[node]):
-                for leaf, series in deriv[a].items():
-                    for u, (x, dx) in enumerate(series):
-                        for v, y, dy in low[b] if x else ():
-                            if u + v <= d + leaf[1]:
-                                yield leaf, u + v, (x * y, dx * dy)
-
-        for node, leaves in nodes.items():
+        deriv = {(f,): {f: [(1, 1)] + [(0, 1)] * (d + f[1])}
+                 for f in {f for key in self._keys for f in key}}
+        for node in sorted({*deriv, *self._plan, *self._keys}, key=len):
+            if len(node) > 1:
+                sums: dict = {}
+                for a, b in permutations(self._plan[node]):
+                    low = [(v, *p) for v, p in enumerate(self._caches[b][:2 * d + 1]) if p[0]]
+                    for leaf, series in deriv[a].items():
+                        terms = sums.setdefault(leaf, [[] for _ in series])
+                        for u, (x, dx) in enumerate(series):
+                            for v, y, dy in low if x else ():
+                                if u + v < len(terms):
+                                    terms[u + v].append((x * y, dx * dy))
+                deriv[node] = {leaf: [pair_sum(t) if len(t) > 1 else t[0] if t else (0, 1)
+                                      for t in terms] for leaf, terms in sums.items()}
             if node in self._tops:
                 self._caches.pop(node, None)
                 continue
-            self._product(node, 2 * d)
-            cache = self._caches[node]
-            low[node] = [(v, y, dy) for v, (y, dy) in enumerate(cache[:2 * d + 1]) if y]
-            sums = {leaf: [[] for _ in range(d + leaf[1] + 1)] for leaf in leaves}
-            for leaf, k, pair in products(node) if len(node) > 1 else [(node[0], 0, (1, 1))]:
-                sums[leaf][k].append(pair)
-            deriv[node] = {leaf: [t[0] if len(t) == 1 else pair_sum(t) for t in terms]
-                           for leaf, terms in sums.items()}
             for (fn, dord), series in deriv[node].items():
-                self._patch.setdefault(fn, []).append((cache, dord, series))
+                self._patch.setdefault(fn, []).append((self._caches[node], dord, series))
         for terms in self._terms:
             acc = defaultdict(list)
             for (cn, cd), key in terms:
-                items = products(key) if key in self._tops else (
-                    (leaf, k, p) for leaf, series in deriv[key].items()
-                    for k, p in enumerate(series))
-                for (fn, dord), k, (n, den) in items:
-                    if n:
-                        acc[fn, dord - k, dord].append((cn * n, cd * den))
+                for (fn, dord), series in deriv[key].items():
+                    for k, (n, den) in enumerate(series):
+                        if n:
+                            acc[fn, dord - k, dord].append((cn * n, cd * den))
             lin = defaultdict(list)
             for (fn, delta, dord), pairs in acc.items():
                 if (a := pair_sum(pairs))[0]:
@@ -655,12 +648,13 @@ def _einstein_flag(case, spec, aw, params, lam, order):
             f"{fslot.param}"
         )
     # reference pass: f'''(0) is proportional to the cone datum f'(0); the
-    # slope only reads f[3], which an order-4 staircase already settles
-    ref = dict(params)
-    ref["f1"] = case.circle_rate(aw)
+    # slope only reads f[3], which the steps 0..2d of a staircase settle
+    ref = {**params, "f1": case.circle_rate(aw)}
     ref.pop(fslot.param, None)
-    refsol = _einstein_run(case, spec, aw, ref, lam, min(order, 4))
-    slope = 6 * refsol.functions["f"].coef[3] / ref["f1"]
+    ref3 = _einstein_stream(case, aw, ref, lam, 0)._coef("f", 3)
+    if type(ref3) is not tuple:
+        raise InconsistentSystem("the reference staircase left f[3] undetermined")
+    slope = 6 * Fraction(*ref3) / ref["f1"]
     if slope == 0:
         raise ConstraintError(
             f"no formal solution: f'''(0) is forced to 0 at lambda={lam}"
@@ -675,8 +669,16 @@ def _einstein_flag(case, spec, aw, params, lam, order):
 
 
 def _einstein_run(case, spec, aw, params, lam, order):
-    seeds = case.einstein_seeds(aw, params)
+    stream = _einstein_stream(case, aw, params, lam, order)
+    return SeriesSolution(
+        case=case, aw=aw, functions=stream.series(), bound_params=dict(params),
+        free_slots_found=spec.slots, diagnostics=stream.diagnostics,
+        einstein_lambda=lam,
+    )
 
+
+def _einstein_stream(case, aw, params, lam, order):
+    """The Einstein staircase; no slot binds a free coefficient there."""
     def binder(fn: str, o: int) -> Fraction:
         datum = ", ".join(f"{key}={v}" for key, v in sorted(params.items()))
         raise ResonantDatum(
@@ -685,12 +687,7 @@ def _einstein_run(case, spec, aw, params, lam, order):
             "no cataloged slot binds it"
         )
 
-    stream = _run(case, aw, seeds, order, binder, lam)
-    return SeriesSolution(
-        case=case, aw=aw, functions=stream.series(), bound_params=dict(params),
-        free_slots_found=spec.slots, diagnostics=stream.diagnostics,
-        einstein_lambda=lam,
-    )
+    return _run(case, aw, case.einstein_seeds(aw, params), order, binder, lam)
 
 
 def _einstein_degenerate(case: OrbitCase, params: dict, lam: Fraction, order: int,

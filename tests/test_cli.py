@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awflow import cli
+from awflow.cases import CASES, get_case
 from awflow.cli import main
 
 
@@ -294,3 +299,54 @@ def test_param_without_equals_is_constraint_error(capsys):
                        "--param", "f0=1")
     assert code == 3
     assert "--param needs name=value, got 'b0'" in err
+
+
+_TYPED = {1: "", 3: "constraint error: ", 4: "solver inconsistency: ",
+          5: "numerical failure: "}
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _cli_input(draw, command):
+    """A random valid invocation: any case, a random subset of its parameter
+    names at small-height rationals, and an order in the command's range.
+    Three draws in four hold every name but the optional initial values."""
+    case = get_case(draw(st.sampled_from(sorted(CASES))))
+    einstein = command == "series" and draw(st.booleans())
+    accepted = case.param_names(einstein)
+    names = draw(st.sets(st.sampled_from(accepted)))
+    if draw(st.integers(0, 3)):
+        names |= {n for n in accepted if n in case.required_params or n[-1] != "0"}
+    argv = [command, "--case", case.id]
+    for name in sorted(names):
+        argv += ["--param", f"{name}={draw(_SMALL)}"]
+    if case.fixed_kl is None:
+        k, l = draw(st.sampled_from([(2, 1), (1, 1), (3, -1), (1, -2), (1, 0)]))
+        argv += ["--k", str(k), "--l", str(l)]
+    if einstein:
+        argv += ["--einstein", f"--lambda={draw(_SMALL)}"]
+    lo, hi = (3, 10) if command == "series" else (8, 20)
+    return argv + ["--order", str(draw(st.integers(lo, hi)))]
+
+
+def _typed_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in _TYPED or code == 0, (argv, code, err.getvalue())
+    if code == 1:  # a verification failure is reported, not raised
+        assert json.loads(out.getvalue())["ok"] is False
+    elif code:
+        assert err.getvalue().startswith(_TYPED[code]), (argv, err.getvalue())
+
+
+@given(argv=_cli_input("series"))
+@settings(max_examples=100, deadline=None)
+def test_random_series_input_ends_in_a_typed_exit(argv):
+    _typed_exit(argv)
+
+
+@given(argv=_cli_input("verify"))
+@settings(max_examples=20, deadline=None)
+def test_random_verify_input_ends_in_a_typed_exit(argv):
+    _typed_exit(argv)

@@ -1,4 +1,5 @@
 """The cleared identities must equal denominator * (displayed equation)."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -264,6 +265,13 @@ _SYSTEMS = {"S1": SystemId("S1", AloffWallach(2, 1)), "S2": SystemId("S2"),
             "E1": SystemId("E1", AloffWallach(2, 1)), "E2": SystemId("E2")}
 #: Products of two or more factors under one cache per sorted factor prefix.
 _PREFIX_PRODUCTS = {"S1": 37, "S2": 76, "E1": 177, "E2": 326}
+#: (nodes, sha256 of the sorted plan items) of each system's product plan.
+_PLAN_DIGESTS = {
+    "E1": (84, "5c338dc115f8be513835a267c30d4f4ae8a7bee0da3caaa8ce88f9e43b449510"),
+    "E2": (132, "94f8579f067ff78db10503208524b841d3d3242a03c082ac4126f2836ecc6c3e"),
+    "S1": (29, "c1924979fa9dd73c91870f67e18d2f60274e2dfc1cd7c95f6ed08f313e969a9f"),
+    "S2": (51, "7f1bb8a69556bcb7545755dd39daa95ed284b74ca15d42768baf53c30e5c3ab6"),
+}
 
 
 def _term_keys(sysid):
@@ -306,6 +314,14 @@ class TestProductPlan:
                                     "PYTHONPATH": src}).stdout
                 for seed in ("1", "2")}
         assert outs == {repr(list(first.items())) + "\n"}
+
+    @pytest.mark.parametrize("kind", sorted(_SYSTEMS))
+    def test_plan_digest(self, kind):
+        # the products are the same numbers under any plan, so no series or
+        # staircase digest sees a change of plan; this one does
+        plan = term_plan(polynomialize(_SYSTEMS[kind]))
+        digest = hashlib.sha256(repr(sorted(plan.items())).encode()).hexdigest()
+        assert (len(plan), digest) == _PLAN_DIGESTS[kind]
 
     def test_one_plan_per_factor_structure(self):
         plans = [term_plan(polynomialize(SystemId("S1", AloffWallach(k, l))))

@@ -339,6 +339,19 @@ class TestEinstein:
                                     "f1": 12}, 0, order=8)
         assert sol.functions == witness.functions
 
+    @pytest.mark.parametrize("cid, params, kw", [
+        ("A", {"a0": 1, "b0": 1, "c0": 1, "f3": 1}, {"k": 2, "l": 1}),
+        ("B", {"a0": 1, "b0": 2, "c0": 3, "f3": 1}, {}),
+        ("C", {"a0": 5, "b0": 3, "c0": 4, "f3": 1}, {}),
+    ])
+    def test_reference_staircase_stops_at_step_2d(self, monkeypatch, cid, params, kw):
+        # the reference only reads f[3], which steps 0..2d (d = 2) settle
+        sol, (reference, main) = _streams(
+            monkeypatch, lambda: einstein_series(cid, params, 1, order=10, **kw))
+        assert [log["order"] for log in reference.diagnostics] == list(range(5))
+        assert main.diagnostics == sol.diagnostics
+        assert 6 * sol.functions["f"].coef[3] == 1
+
     def test_sphere(self):
         sol = einstein_series("D", {"b0": 1, "f0": 1, "bdiff1": 0}, 0, order=8)
         assert sol.verify_exact()
@@ -482,8 +495,8 @@ class TestDot:
         assert _dot([((1, 1), _lin(1, x0=2)), ((-1, 1), _lin(x0=2))]) == (1, 1)
 
 
-def _final_stream(monkeypatch, solve):
-    """Run `solve` and return the last staircase it ran, with its solution."""
+def _streams(monkeypatch, solve):
+    """Run `solve` and return its solution with every staircase it ran."""
     streams = []
     run = solver._Stream.run
 
@@ -492,7 +505,13 @@ def _final_stream(monkeypatch, solve):
         streams.append(self)
 
     monkeypatch.setattr(solver._Stream, "run", recording)
-    return solve(), streams[-1]
+    return solve(), streams
+
+
+def _final_stream(monkeypatch, solve):
+    """Run `solve` and return the last staircase it ran, with its solution."""
+    sol, streams = _streams(monkeypatch, solve)
+    return sol, streams[-1]
 
 
 _HOLONOMY_28 = [
