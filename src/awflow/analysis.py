@@ -166,61 +166,55 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
     checks.append(CheckResult("free_slot_census", slots == expected,
                               {"found": slots, "expected": expected}))
 
-    if case.degenerate:
-        fzero = sol.functions["f"].is_zero()
-        checks.append(CheckResult("degenerate_f_vanishes", fzero,
-                                  {"marker": "degenerate: f == 0"}))
-        report = {"case": case.id, "k": aw.k, "l": aw.l,
-                  "holonomy": case.holonomy,
-                  "checks": [c.__dict__ for c in checks],
-                  "ok": all(c.ok for c in checks)}
-        return report
-
-    for fn1, fn2 in case.equal_pairs:
-        same = sol.functions[fn1] == sol.functions[fn2]
-        checks.append(CheckResult(f"identity_{fn1}_eq_{fn2}", same))
-
-    sysid = sol.system()
-    start = integ.launch_state(sol, t0)
-    traj = integ.integrate(sysid, start, t_end, tol)
-    checks.append(CheckResult(
-        "integration", traj.termination == "reached_t_end",
-        {"termination": traj.termination, "samples": traj.stats["n_samples"],
-         **{key: traj.stats[key]
-            for key in ("message", "n_steps", "n_rejected", "h_min", "h_max",
-                        "max_abs_y", "min_abs_y", "max_abs_dy")}}))
-
-    mirrors = [name for name, pair in integ.MIRRORS.items()
-               if pair in case.equal_pairs]
-    wanted = ["einstein_lambda0", *mirrors]
     su4 = None
-    if case.orbit == "u12-z2":  # the SU(4) family lives at the quotient flag orbit
-        p = {name: rat(v) for name, v in params.items()}
-        su4 = p["a0"] ** 2 == p["b0"] ** 2 + p["c0"] ** 2
-        if su4:
-            wanted.append("su4_constraint")
-    mon = integ.monitor_residuals(sysid, traj, wanted)
-    ok = mon["einstein_lambda0"]["max"] < 1e-6
-    checks.append(CheckResult("ricci_flat_monitor", ok, mon["einstein_lambda0"]))
-    for name in mirrors:
-        checks.append(CheckResult("mirror_monitor", mon[name]["max"] < 1e-10,
-                                  mon[name]))
-    if "su4_constraint" in mon:
-        checks.append(CheckResult(
-            "su4_monitor",
-            mon["su4_constraint"]["max_sum"] < 1e-8
-            and mon["su4_constraint"]["max_quadric"] < 1e-6,
-            mon["su4_constraint"]))
+    if case.degenerate:
+        checks.append(CheckResult("degenerate_f_vanishes", sol.functions["f"].is_zero(),
+                                  {"marker": "degenerate: f == 0"}))
+    else:
+        for fn1, fn2 in case.equal_pairs:
+            same = sol.functions[fn1] == sol.functions[fn2]
+            checks.append(CheckResult(f"identity_{fn1}_eq_{fn2}", same))
 
-    if case.vertical is not None:
-        # up to order 8 the census above equals the placeholder-point census
-        # of cross_check_free_params; a slot beyond it already fails the census
-        xrep = _cross_check_report(case, aw, slots)
+        sysid = sol.system()
+        start = integ.launch_state(sol, t0)
+        traj = integ.integrate(sysid, start, t_end, tol)
         checks.append(CheckResult(
-            "free_param_cross_check",
-            xrep["match"] or not xrep["assumption_satisfied"], xrep))
+            "integration", traj.termination == "reached_t_end",
+            {"termination": traj.termination, "samples": traj.stats["n_samples"],
+             **{key: traj.stats[key]
+                for key in ("message", "n_steps", "n_rejected", "h_min", "h_max",
+                            "max_abs_y", "min_abs_y", "max_abs_dy")}}))
 
-    report = {
+        mirrors = [name for name, pair in integ.MIRRORS.items()
+                   if pair in case.equal_pairs]
+        wanted = ["einstein_lambda0", *mirrors]
+        if case.orbit == "u12-z2":  # the SU(4) family lives at the quotient flag orbit
+            p = {name: rat(v) for name, v in params.items()}
+            su4 = p["a0"] ** 2 == p["b0"] ** 2 + p["c0"] ** 2
+            if su4:
+                wanted.append("su4_constraint")
+        mon = integ.monitor_residuals(sysid, traj, wanted)
+        ok = mon["einstein_lambda0"]["max"] < 1e-6
+        checks.append(CheckResult("ricci_flat_monitor", ok, mon["einstein_lambda0"]))
+        for name in mirrors:
+            checks.append(CheckResult("mirror_monitor", mon[name]["max"] < 1e-10,
+                                      mon[name]))
+        if "su4_constraint" in mon:
+            checks.append(CheckResult(
+                "su4_monitor",
+                mon["su4_constraint"]["max_sum"] < 1e-8
+                and mon["su4_constraint"]["max_quadric"] < 1e-6,
+                mon["su4_constraint"]))
+
+        if case.vertical is not None:
+            # up to order 8 the census above equals the placeholder-point census
+            # of cross_check_free_params; a slot beyond it already fails the census
+            xrep = _cross_check_report(case, aw, slots)
+            checks.append(CheckResult(
+                "free_param_cross_check",
+                xrep["match"] or not xrep["assumption_satisfied"], xrep))
+
+    return {
         "case": case.id,
         "k": aw.k,
         "l": aw.l,
@@ -230,4 +224,3 @@ def verify_case(case_id: str, params: dict, k: int | None = None,
         "checks": [c.__dict__ for c in checks],
         "ok": all(c.ok for c in checks),
     }
-    return report

@@ -11,8 +11,6 @@ import re
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -84,12 +82,6 @@ class TruncSeries:
         if not coef:
             raise ValueError("a series needs at least the constant coefficient")
         self.coef = tuple(coef)
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls([0], order=order)
 
     # -- basic interface -------------------------------------------------------
 

@@ -422,8 +422,8 @@ def first_order_defect(sys: SystemId, traj: Trajectory) -> float:
     return float(np.max(np.abs(dm - _rhs_rows(sys, ym)), initial=0.0))
 
 
-def _einstein_rows(sys: SystemId, y: np.ndarray, lam: float = 0.0) -> list[np.ndarray]:
-    """Einstein residuals at every row of y, with d2 = J d1 by the chain rule.
+def _einstein_rows(sys: SystemId, y: np.ndarray) -> list[np.ndarray]:
+    """Ricci-flat residuals at every row of y, with d2 = J d1 by the chain rule.
 
     J d1 is one complex-step call on the batch along d1: the right-hand
     sides are rational, so the imaginary part is the step times J d1 to
@@ -435,14 +435,7 @@ def _einstein_rows(sys: SystemId, y: np.ndarray, lam: float = 0.0) -> list[np.nd
     d1 = _rhs_rows(sysf, y)
     d2 = _rhs_rows(sysf, y + 1e-100j * d1).imag * 1e100
     return residual_einstein(sysf.einstein(), State(dict(zip(fns, y.T))),
-                             dict(zip(fns, d1.T)), dict(zip(fns, d2.T)), lam)
-
-
-def einstein_residual_at(sys: SystemId, values: dict[str, float],
-                         lam: float = 0.0) -> list[float]:
-    """Einstein residual on a first-order state, d2 by the chain rule."""
-    y = np.array([[values[fn] for fn in sys.first_order().functions]], dtype=float)
-    return [float(r[0]) for r in _einstein_rows(sys, y, lam)]
+                             dict(zip(fns, d1.T)), dict(zip(fns, d2.T)), 0.0)
 
 
 #: Mirror monitors and the pair of functions each one compares.

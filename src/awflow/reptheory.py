@@ -218,54 +218,27 @@ def dim_W_s5(m: int, part: str) -> int:
 # -- first return times and collapsing-circle normalization ---------------------
 
 
-def _bezout(k: int, l: int) -> tuple[int, int]:
-    """(x, y) with x*k + y*l = 1, for coprime k and l."""
-    r0, r1, x0, x1 = k, l, 1, 0
-    while r1:
-        q = r0 // r1
-        r0, r1, x0, x1 = r1, r0 - q * r1, x1, x0 - q * x1
-    # r0 = +-1 and x0*k = r0 (mod l)
-    x = x0 * r0
-    return x, ((1 - x * k) // l if l else 0)
-
-
 def first_return_time(aw: AloffWallach, quotient_by_h: bool = False) -> Fraction:
     """Smallest t > 0 with exp(t e7) in the isotropy group, as a multiple of pi.
 
     With quotient_by_h the isotropy group is enlarged by the order-two element
-    diag(i, -i, 1); returns r such that t = r * pi.  Candidates u = t/(2 pi)
-    run over the lattice fixed by the commensurability condition; each is
-    tested exactly for a torus angle v that makes every phase integral.
+    diag(i, -i, 1); returns r such that t = r * pi.  Write t = 2 pi u, and e = 0,
+    or e = 1/4 for the element.  Commensurability forces 2 delta u = n + (k+l) e
+    with n an integer; the phases (2l+k)u - kv - e, -(2k+l)u - lv + e and
+    (k-l)u + (k+l)v sum to zero, so kv - A and lv - B in Z decide, where
+    A = (2l+k)u - e and B = e - (2k+l)u.
+
+    Every such u returns: with xk + yl = 1, v = xA + yB gives kv - A = -yn and
+    lv - B = xn.  So r = 1/delta, or with the element the smaller of 1/delta
+    and s/delta, s the least positive (k+l)/4 + n over n >= 0.
     """
-    k, l = aw.k, aw.l
-    delta = aw.delta
-    x, y = _bezout(k, l)
-    eps_branch = (0, 1) if quotient_by_h else (0,)
-
-    def admissible(u: Fraction, eps: int) -> bool:
-        # the phases (2l+k)u - kv - e, -(2k+l)u - lv + e and (k-l)u + (k+l)v
-        # sum to zero, so kv = A and lv = B (mod 1) decide; as gcd(k, l) = 1
-        # their only solution mod 1, if any, is v = xA + yB
-        e = Fraction(eps, 4)
-        a = (2 * l + k) * u - e
-        b = e - (2 * k + l) * u
-        v = x * a + y * b
-        return (k * v - a).denominator == 1 and (l * v - b).denominator == 1
-
-    best: Fraction | None = None
-    for eps in eps_branch:
-        # the commensurability condition forces 2*delta*u - (k+l)*eps/4 integral
-        for n in range(0, 8 * delta + 2):
-            u = (Fraction(n) + Fraction((k + l) * eps, 4)) / (2 * delta)
-            if u <= 0:
-                continue
-            if admissible(u, eps):
-                if best is None or u < best:
-                    best = u
-                break
-    if best is None:
-        raise RuntimeError(f"no return time found for {aw} (search bound too small)")
-    return 2 * best  # t = 2*pi*u = (2u)*pi
+    r = Fraction(1, aw.delta)
+    if quotient_by_h:
+        s = Fraction(aw.k + aw.l, 4)
+        if s <= 0:
+            s = s % 1 or Fraction(1)
+        r = min(r, s * r)
+    return r
 
 
 def circle_normalization(aw: AloffWallach, quotient_by_h: bool = False) -> Fraction:

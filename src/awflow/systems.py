@@ -155,18 +155,3 @@ def symmetry_maps(sys: SystemId) -> list[SymmetryMap]:
              perm={"a1": "a2", "a2": "a1"}),
     ]
 
-
-def apply_symmetry(smap: SymmetryMap, obj):
-    """Apply a symmetry to series, per-function values, solutions, trajectories."""
-    if isinstance(obj, dict):
-        sample = next(iter(obj.values()))
-        if hasattr(sample, "coef"):
-            return smap.apply_to_series(obj)
-        return smap.apply_to_values(obj)
-    if hasattr(obj, "functions") and isinstance(obj.functions, dict):
-        import dataclasses
-        return dataclasses.replace(obj, functions=smap.apply_to_series(obj.functions))
-    if hasattr(obj, "y") and hasattr(obj, "termination"):
-        from .integrate import transform_trajectory
-        return transform_trajectory(smap, obj)
-    raise TypeError(f"cannot apply a symmetry to {type(obj).__name__}")

@@ -121,6 +121,11 @@ class TestVerifyCase:
         assert rep["ok"]
         markers = [c for c in rep["checks"] if c["name"] == "degenerate_f_vanishes"]
         assert markers and markers[0]["detail"]["marker"] == "degenerate: f == 0"
+        # the degenerate branch swaps checks, not the report's layout
+        member = verify_case("C", {"a0": 5, "b0": 3, "c0": 4}, tol=1e-10)
+        assert rep.keys() == member.keys()
+        assert rep["params"] == {"a0": "1/1", "b0": "1/1", "c0": "1/1"}
+        assert rep["su4_family"] is None
 
     def test_fault_injection_fails(self):
         rep = verify_case("D", {"b0": 1, "f0": 1}, t_end=0.2,

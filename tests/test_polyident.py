@@ -193,7 +193,7 @@ def _per_term(ident, funcs, lam=None):
     """Reference: one identity, one term at a time, through TruncSeries."""
     base = min(s.order for s in funcs.values())
     max_d = max((d for term in ident.terms for _, d in term.factors), default=0)
-    out = TruncSeries.zero(base - max_d)
+    out = TruncSeries([0], order=base - max_d)
     for term in ident.terms:
         coeff = term.coeff * Fraction(lam or 0) ** term.lam
         prod = None

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -219,3 +220,50 @@ def test_first_return_time_pinned(kl):
     plain, quotient = RETURN_TIMES[kl]
     assert first_return_time(aw) == Fraction(plain)
     assert first_return_time(aw, quotient_by_h=True) == Fraction(quotient)
+
+
+def _bezout(k, l):
+    """(x, y) with x*k + y*l = 1, for coprime k and l."""
+    r0, r1, x0, x1 = k, l, 1, 0
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1 = r1, r0 - q * r1, x1, x0 - q * x1
+    # r0 = +-1 and x0*k = r0 (mod l)
+    x = x0 * r0
+    return x, ((1 - x * k) // l if l else 0)
+
+
+def lattice_return_time(aw, quotient_by_h=False):
+    """Reference: walk the commensurability lattice, testing each point exactly
+    for a torus angle v that makes every phase integral."""
+    k, l, delta = aw.k, aw.l, aw.delta
+    x, y = _bezout(k, l)
+
+    def admissible(u, eps):
+        # the three phases sum to zero, so kv = A and lv = B (mod 1) decide;
+        # as gcd(k, l) = 1 their only solution mod 1, if any, is v = xA + yB
+        e = Fraction(eps, 4)
+        a = (2 * l + k) * u - e
+        b = e - (2 * k + l) * u
+        v = x * a + y * b
+        return (k * v - a).denominator == 1 and (l * v - b).denominator == 1
+
+    best = None
+    for eps in ((0, 1) if quotient_by_h else (0,)):
+        for n in range(0, 8 * delta + 2):
+            u = (Fraction(n) + Fraction((k + l) * eps, 4)) / (2 * delta)
+            if u > 0 and admissible(u, eps):
+                best = u if best is None else min(best, u)
+                break
+    assert best is not None, f"no return time found for {aw}"
+    return 2 * best
+
+
+def test_closed_form_matches_lattice_search():
+    pairs = [(k, l) for k in range(-25, 26) for l in range(-25, 26)
+             if (k, l) != (0, 0) and gcd(k, l) == 1]
+    assert len(pairs) == 1600
+    for k, l in pairs:
+        aw = AloffWallach(k, l)
+        for q in (False, True):
+            assert first_return_time(aw, q) == lattice_return_time(aw, q), (k, l, q)

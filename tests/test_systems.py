@@ -6,8 +6,8 @@ import pytest
 from awflow.polyident import polynomialize
 from awflow.reptheory import AloffWallach
 from awflow.solver import solve_series
-from awflow.systems import (State, SystemId, ZeroDenominator, apply_symmetry,
-                            residual_einstein, rhs_first_order, symmetry_maps)
+from awflow.systems import (State, SystemId, ZeroDenominator, residual_einstein,
+                            rhs_first_order, symmetry_maps)
 
 
 def random_state(fns, rng, lo=0.5, hi=2.5):
@@ -139,38 +139,38 @@ class TestSymmetryMaps:
         sol_f = solve_series("F", {"b0": 1, "q1": "1/2", "q2": "-1/3"}, order=10)
         sysid = sol_f.system()
         for smap in symmetry_maps(sysid):
-            transformed = apply_symmetry(smap, sol_f.functions)
+            transformed = smap.apply_to_series(sol_f.functions)
             assert series_solves(sysid, transformed), smap.name
 
         sol_d = solve_series("D", {"b0": 1, "f0": 2}, order=10)
         sysid = sol_d.system()
         for smap in symmetry_maps(sysid):
-            transformed = apply_symmetry(smap, sol_d.functions)
+            transformed = smap.apply_to_series(sol_d.functions)
             assert series_solves(sysid, transformed), smap.name
 
     def test_swap_fixes_equal_pair_solution(self):
         sol = solve_series("F", {"b0": 1, "q1": 0, "q2": 0}, order=8)
         swap = next(m for m in symmetry_maps(sol.system()) if m.name == "swap_bc")
-        assert apply_symmetry(swap, sol.functions) == sol.functions
+        assert swap.apply_to_series(sol.functions) == sol.functions
 
     def test_quotient_mirror_fixes_flag_solution(self):
         sol = solve_series("C", {"a0": 2, "b0": 1, "c0": 1}, order=10)
         mirror = next(m for m in symmetry_maps(sol.system())
                       if m.name == "mirror_a12")
-        assert apply_symmetry(mirror, sol.functions) == sol.functions
+        assert mirror.apply_to_series(sol.functions) == sol.functions
 
     def test_sphere_mirror_maps_solution_to_solution(self):
         sol = solve_series("D", {"b0": 1, "f0": 1}, order=10)
         sysid = sol.system()
         mirror = next(m for m in symmetry_maps(sysid) if m.name == "mirror_bc")
-        transformed = apply_symmetry(mirror, sol.functions)
+        transformed = mirror.apply_to_series(sol.functions)
         assert series_solves(sysid, transformed)
         assert transformed == sol.functions  # same initial data, unique series
 
     def test_identity_like_composition(self):
         sol = solve_series("G", {"a0": 1, "q": 1}, order=8)
         smap = next(m for m in symmetry_maps(sol.system()) if m.name == "swap_a12")
-        assert apply_symmetry(smap, sol.functions) == sol.functions
+        assert smap.apply_to_series(sol.functions) == sol.functions
 
     def test_t_reversal_parity(self):
         from awflow.exact import TruncSeries
@@ -178,6 +178,6 @@ class TestSymmetryMaps:
         smap = symmetry_maps(sysid)[0]  # (-a, b, c, -f)(-t)
         odd = TruncSeries([0, 1, 0, -1])
         series = {"a": odd, "b": odd, "c": odd, "f": odd}
-        out = apply_symmetry(smap, series)
+        out = smap.apply_to_series(series)
         assert out["a"] == odd  # odd function with sign -1 under reversal
         assert out["b"] == TruncSeries([0, -1, 0, 1])
