@@ -1,14 +1,14 @@
 """Numerical continuation of series solutions away from the singular orbit.
 
 A series solution is evaluated at a small t0 > 0 to launch an adaptive
-Dormand-Prince 8(5,3) integration (DOP853) of the first-order system, a step
-loop on plain floats that takes the same steps as scipy's DOP853.  The step
-size follows the tolerance alone, and the samples are read off each step's
-seventh-order continuous extension.  Residual monitors evaluate the Einstein
-equations (second derivatives by the chain rule, from one complex step along
-the flow), the reduced-holonomy constraint, and mirror identities along the
-trajectory.  Everything that reads a stored trajectory evaluates the system
-once over all samples, on arrays of shape (samples, functions).
+Dormand-Prince 8(5,3) integration (DOP853) of the first-order system on plain
+floats, taking scipy's DOP853 steps.  The step is straight-line code generated
+once per system size, its sums written out left to right (so no step depends
+on the interpreter's float `sum`), and the samples are read off the steps'
+seventh-order continuous extensions in one pass after the loop.  Residual
+monitors evaluate the Einstein equations (d2 by the chain rule, from one
+complex step along the flow), the reduced-holonomy constraint and mirror
+identities, each over all samples at once, on arrays (samples, functions).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import mul, truediv
+from functools import cache, reduce
 
 import numpy as np
 
@@ -230,19 +230,73 @@ _MESSAGES = {0: "The solver successfully reached the end of the integration inte
 
 
 def _norm(x: list[float]) -> float:
-    """RMS norm."""
-    return math.sqrt(sum(v * v for v in x)) / len(x) ** 0.5
+    """RMS norm, its sum of squares folded left to right from 0.0."""
+    return math.sqrt(reduce(lambda acc, v: acc + v * v, x, 0.0)) / len(x) ** 0.5
 
 
-def _dot(ks: list[list[float]], row: dict[int, float]) -> list[float]:
-    """The row's weighted sum of the stages ks, per component."""
-    return [sum(map(mul, row.values(), col)) for col in zip(*[ks[j] for j in row])]
+def _stepper_source(n: int) -> str:
+    """Straight-line DOP853 for n functions: step(flow, y, f, h, rtol, atol)
+    attempts a step, giving (err, y_new, f_new, stages 0-11); rows(flow, y,
+    y_new, f_new, h, stages) runs the dense stages, giving the rows F_6..F_0.
+    Component i of stage s is the local k<s>_<i>; sums fold left to right."""
+    def fold(terms):
+        return " + ".join(["0.0", *terms])
+
+    def each(expr):
+        return ", ".join(expr(i) for i in range(n)) + ","
+
+    def arg(row):  # y + h times the row's weighted sum of the stages
+        return "[" + each(lambda i: f"y{i} + ({dot(row, i)}) * h") + "]"
+
+    def dot(row, i):
+        return fold(f"{c!r} * k{j}_{i}" for j, c in row.items())
+
+    ks = "".join(each(lambda i: f"k{s}_{i}") + " " for s in range(12))
+    return "\n    ".join([
+        "def step(flow, y, f, h, rtol, atol):",
+        f"{each(lambda i: f'y{i}')} = y", f"{each(lambda i: f'k0_{i}')} = f",
+        *(f"{each(lambda i: f'k{s}_{i}')} = flow({arg(row)})"
+          for s, row in enumerate(_A[:11], 1)),
+        f"y_new = {arg(_A[11])}", f"{each(lambda i: f'n{i}')} = y_new",
+        "f_new = flow(y_new)",
+        *(f"s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol" for i in range(n)),
+        *(f"{p}{i} = ({dot(row, i)}) / s{i}" for p, row in (("p", _E5), ("q", _E3))
+          for i in range(n)),
+        f"e5, e3 = {fold(f'p{i} * p{i}' for i in range(n))}, "
+        f"{fold(f'q{i} * q{i}' for i in range(n))}",
+        f"err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+        f"return err, y_new, f_new, ({ks})\n"
+        "def rows(flow, y, y_new, f_new, h, ks):",
+        f"{each(lambda i: f'y{i}')} = y", f"{each(lambda i: f'n{i}')} = y_new",
+        f"{ks}= ks", f"{each(lambda i: f'k12_{i}')} = f_new",
+        *(f"{each(lambda i: f'k{s}_{i}')} = flow({arg(row)})"
+          for s, row in enumerate(_A[12:], 13)),
+        *(f"d{i} = n{i} - y{i}" for i in range(n)),
+        "return (", *(f"({each(lambda i: f'h * ({dot(row, i)})')})," for row in _D[::-1]),
+        f"({each(lambda i: f'2 * d{i} - h * (k0_{i} + k12_{i})')}),",
+        f"({each(lambda i: f'h * k0_{i} - d{i}')}), ({each(lambda i: f'd{i}')}))\n"])
+
+
+@cache
+def _stepper(n: int):
+    """The compiled (step, rows) pair for n functions, built on first use."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_stepper_source(n), f"<awflow dop853 n={n}>", "exec"), namespace)
+    return namespace["step"], namespace["rows"]
+
+
+def _interpolant(coef, x, y):
+    """y + sum F_j p_j(x), coef holding F_6..F_0: Horner in x and 1 - x alternately."""
+    q = 0.0
+    for j, c in enumerate(coef):
+        q = (q + c) * (1 - x if j % 2 else x)
+    return q + y
 
 
 @dataclass
 class _Run:
     t: list[float]
-    y: list  # sample rows, in blocks of one step's samples
+    y: list  # sample rows, in one block
     status: int  # 0 reached t_end, 1 terminal event, -1 step underflow
     nfev: int
     n_steps: int
@@ -260,8 +314,10 @@ def _dop853(flow, t0: float, y0: list[float], t_end: float, rtol: float,
     Each accepted step is checked once for the terminal events: |y_i| falling
     to collapse_eps, y_i changing sign (for i in live), and max |y| rising to
     blow_up.  Only a step where one fires has its root located, by bisection
-    on the step's interpolant.  h_min leaves out steps clipped to t_end.
+    on its interpolant; the samples are read off in one pass after the loop.
+    h_min leaves out steps clipped to t_end.
     """
+    step, rows = _stepper(len(y0))
     t, y = t0, y0
     f = flow(y)
     # the initial step of Hairer, Norsett & Wanner, II.4
@@ -278,7 +334,7 @@ def _dop853(flow, t0: float, y0: list[float], t_end: float, rtol: float,
         h_abs = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h_abs, t_end - t)
 
-    ts, ys = [], []
+    ts, sampled = [], []  # sampled: (t, h, rows, y, sample count) per step
     i_eval = 0
     n_steps = n_rejected = 0
     h_min, h_max = math.inf, 0.0
@@ -296,15 +352,7 @@ def _dop853(flow, t0: float, y0: list[float], t_end: float, rtol: float,
             if clipped:
                 t_new = t_end
             h = h_abs = t_new - t
-            ks = [f]
-            for row in _A[:12]:  # the last pass leaves y_new and its flow
-                y_new = [v + s * h for v, s in zip(y, _dot(ks, row))]
-                ks.append(flow(y_new))
-            scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
-            e5, e3 = (sum(v * v for v in map(truediv, _dot(ks, row), scale))
-                      for row in (_E5, _E3))
-            err = 0.0 if e5 == 0 and e3 == 0 else (
-                h * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale)))
+            err, y_new, f_new, ks = step(flow, y, f, h, rtol, atol)
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0
                           else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
@@ -325,25 +373,12 @@ def _dop853(flow, t0: float, y0: list[float], t_end: float, rtol: float,
             status = 0
 
         # the continuous extension, its three extra stages on every accepted step
-        for row in _A[12:]:
-            ks.append(flow([v + s * h for v, s in zip(y, _dot(ks, row))]))
-        dy = [w - v for v, w in zip(y, y_new)]
-        coef = np.array([
-            dy, [h * a - b for a, b in zip(f, dy)],
-            [2 * b - h * (a + c) for a, b, c in zip(f, dy, ks[12])],
-            *([h * s for s in _dot(ks, row)] for row in _D)])[::-1]
-        y_old = np.array(y)
-
-        def dense(tt):
-            """This step's interpolant at tt, a time or a column of times."""
-            x = (tt - t) / h
-            q = 0.0  # Horner's rule in x and 1 - x alternately, from F_6 down
-            for j, c in enumerate(coef):
-                q = (q + c) * (1 - x if j % 2 else x)
-            return q + y_old
-
+        coef = rows(flow, y, y_new, f_new, h, ks)
         fired = _fired(y, y_new, live, collapse_eps, blow_up)
         if fired:
+            def dense(tt, c=np.array(coef), y_old=np.array(y)):
+                return _interpolant(c, (tt - t) / h, y_old)  # at the time tt
+
             def root(event):
                 kind, i = event
                 if kind == "blow_up":
@@ -359,15 +394,20 @@ def _dop853(flow, t0: float, y0: list[float], t_end: float, rtol: float,
             status = 1
         i_new = bisect_right(t_eval, t_new, i_eval)
         if i_new > i_eval:
-            step_t = t_eval[i_eval:i_new]
-            ts += step_t
-            ys.append(dense(np.array(step_t)[:, None]))
+            ts += t_eval[i_eval:i_new]
+            sampled.append((t, h, coef, y, i_new - i_eval))
             i_eval = i_new
-        t, y, f = t_new, y_new, ks[12]
+        t, y, f = t_new, y_new, f_new
     # one evaluation at t0, one for the initial step, twelve per attempted
     # step and three for each accepted step's dense output; a run whose only
     # step was clipped reports that step as h_min
-    return _Run(ts, ys, status, 2 + 12 * (n_steps + n_rejected) + 3 * n_steps,
+    ys = []
+    if sampled:  # every sample at once, each read off the interpolant of its step
+        *cols, counts = zip(*sampled)
+        t, h, coef, y = (np.repeat(np.array(col), counts, axis=0) for col in cols)
+        ys = [_interpolant(coef.swapaxes(0, 1), ((np.array(ts) - t) / h)[:, None], y)]
+    return _Run(ts, ys, status,
+                2 + 12 * (n_steps + n_rejected) + 3 * n_steps,
                 n_steps, n_rejected, min(h_min, h_max), h_max, event)
 
 

@@ -1,10 +1,17 @@
+import math
 import os
 import subprocess
 import sys
+from bisect import bisect_right
+from fractions import Fraction
+from functools import cache
+from operator import truediv
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awflow import integrate as integ
 from awflow.reptheory import AloffWallach
@@ -347,6 +354,231 @@ def test_events_leave_scipy_unimported():
             "traj = integ.integrate(sol.system(), start, 0.5, 1e-10, collapse_eps=1e-6); "
             "assert traj.termination == 'function_zero:a', traj.termination; "
             "assert 'scipy' not in sys.modules")
+    src = str(Path(integ.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# -- the generated step against the generic loop it replaced ----------------------
+
+
+def _fold(terms):
+    """A float sum left to right from 0.0: what `sum` does under Python 3.11."""
+    total = 0.0
+    for v in terms:
+        total += v
+    return total
+
+
+def _ref_norm(x):
+    return math.sqrt(_fold(v * v for v in x)) / len(x) ** 0.5
+
+
+def _ref_dot(ks, row):
+    return [_fold(c * k for c, k in zip(row.values(), col))
+            for col in zip(*[ks[j] for j in row])]
+
+
+def _reference_dop853(flow, t0, y0, t_end, rtol, atol, t_eval, live,
+                      collapse_eps, blow_up):
+    """The generic stage loop over the tableau dicts, sampling every step."""
+    t, y = t0, y0
+    f = flow(y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _ref_norm([v / s for v, s in zip(y, scale)])
+    d1 = _ref_norm([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end - t)
+    f1 = flow([v + h0 * df for v, df in zip(y, f)])
+    d2 = _ref_norm([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h_abs = max(1e-6, h0 * 1e-3)
+    else:
+        h_abs = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h_abs, t_end - t)
+
+    ts, ys = [], []
+    i_eval = 0
+    n_steps = n_rejected = 0
+    h_min, h_max = math.inf, 0.0
+    status = event = None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs
+            clipped = t_new - t_end > 0
+            if clipped:
+                t_new = t_end
+            h = h_abs = t_new - t
+            ks = [f]
+            for row in integ._A[:12]:
+                y_new = [v + s * h for v, s in zip(y, _ref_dot(ks, row))]
+                ks.append(flow(y_new))
+            scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
+            e5, e3 = (_fold(v * v for v in map(truediv, _ref_dot(ks, row), scale))
+                      for row in (integ._E5, integ._E3))
+            err = 0.0 if e5 == 0 and e3 == 0 else (
+                h * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale)))
+            if err < 1:
+                factor = (integ._MAX_FACTOR if err == 0
+                          else min(integ._MAX_FACTOR, integ._SAFETY * err ** integ._EXPONENT))
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(integ._MIN_FACTOR, integ._SAFETY * err ** integ._EXPONENT)
+            rejected = True
+            n_rejected += 1
+        if status == -1:
+            break
+        n_steps += 1
+        if not clipped:
+            h_min = min(h_min, h)
+        h_max = max(h_max, h)
+        if t_new - t_end >= 0:
+            status = 0
+
+        for row in integ._A[12:]:
+            ks.append(flow([v + s * h for v, s in zip(y, _ref_dot(ks, row))]))
+        dy = [w - v for v, w in zip(y, y_new)]
+        coef = np.array([
+            dy, [h * a - b for a, b in zip(f, dy)],
+            [2 * b - h * (a + c) for a, b, c in zip(f, dy, ks[12])],
+            *([h * s for s in _ref_dot(ks, row)] for row in integ._D)])[::-1]
+        y_old = np.array(y)
+
+        def dense(tt):
+            x = (tt - t) / h
+            q = 0.0
+            for j, c in enumerate(coef):
+                q = (q + c) * (1 - x if j % 2 else x)
+            return q + y_old
+
+        fired = integ._fired(y, y_new, live, collapse_eps, blow_up)
+        if fired:
+            def root(event):
+                kind, i = event
+                if kind == "blow_up":
+                    g = lambda tt: np.max(np.abs(dense(tt))) - blow_up  # noqa: E731
+                elif kind == "threshold":
+                    g = lambda tt: abs(dense(tt)[i]) - collapse_eps  # noqa: E731
+                else:
+                    g = lambda tt: dense(tt)[i]  # noqa: E731
+                return integ._bisect(g, t, t_new)
+            t_new, j = min((root(ev), j) for j, ev in enumerate(fired))
+            event = (*fired[j], t_new, dense(t_new))
+            status = 1
+        i_new = bisect_right(t_eval, t_new, i_eval)
+        if i_new > i_eval:
+            step_t = t_eval[i_eval:i_new]
+            ts += step_t
+            ys.append(dense(np.array(step_t)[:, None]))
+            i_eval = i_new
+        t, y, f = t_new, y_new, ks[12]
+    return integ._Run(ts, ys, status, 2 + 12 * (n_steps + n_rejected) + 3 * n_steps,
+                      n_steps, n_rejected, min(h_min, h_max), h_max, event)
+
+
+def _assert_matches_reference(sysid, start, t_end, tol, **opts):
+    """integrate with the generated step and with the reference loop give the
+    same trajectory, stop report and terminal event, bit for bit."""
+    out = []
+    for loop in (integ._dop853, _reference_dop853):
+        runs = []
+
+        def recorded(*args, loop=loop):
+            runs.append(loop(*args))
+            return runs[-1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integ, "_dop853", recorded)
+            out.append((integ.integrate(sysid, start, t_end, tol, **opts), runs[0]))
+    (traj, run), (ref, ref_run) = out
+    for name in ("t", "y", "d"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+    assert traj.termination == ref.termination
+    assert traj.stats == ref.stats
+    assert (run.event is None) == (ref_run.event is None)
+    if ref_run.event is not None:
+        assert run.event[:3] == ref_run.event[:3]
+        assert np.array_equal(run.event[3], ref_run.event[3])
+    return traj
+
+
+def _launch(cid, params, t0=1e-2, order=20, **kw):
+    sol = solve_series(cid, params, order=order, **kw)
+    return sol.system(), integ.launch_state(sol, t0)
+
+
+_F_OPPOSITE = ("F", {"b0": 1, "q1": -1, "q2": 1})
+_H_NEGATIVE = ("H", {"a0": 1, "q": -1})
+_THIRD = Fraction(1, 3)
+
+#: id -> (launch, t_end, integrate options, termination): the scipy
+#: parity paths, and `scan`'s s = 2 copies (order 7, over [2e-2, 2])
+REFERENCE_PATHS = {
+    "C534": (lambda: _launch("C", {"a0": 5, "b0": 3, "c0": 4}), 1.0, {}, "reached_t_end"),
+    "D11": (lambda: _launch("D", {"b0": 1, "f0": 1}), 1.0, {}, "reached_t_end"),
+    "E74": (lambda: _launch("E", {"b0": 2, "q": 0}, k=7, l=4), 1.0, {}, "reached_t_end"),
+    "G1-1": (lambda: _launch("G", {"a0": 1, "q": -1}), 1.0, {}, "reached_t_end"),
+    "mirrored-D": (_mirrored_d_start, 0.5, {"collapse_eps": 1e-6}, "function_zero:a"),
+    "H-blow-up": (lambda: _launch(*_H_NEGATIVE), 1.0, {"blow_up": 10}, "blow_up"),
+    "F-blow-up": (lambda: _launch(*_F_OPPOSITE), 1.0, {"blow_up": 10}, "blow_up"),
+    "F-underflow": (lambda: _launch(*_F_OPPOSITE), 1.0, {}, "step_underflow"),
+    "C534*2": (lambda: _launch("C", {"a0": 10, "b0": 6, "c0": 8}, 2e-2, 7), 2.0, {},
+               "reached_t_end"),
+    "D11*2": (lambda: _launch("D", {"b0": 2, "f0": 2}, 2e-2, 7), 2.0, {}, "reached_t_end"),
+    "F*2": (lambda: _launch("F", {"b0": 2, "q1": 1, "q2": _THIRD}, 2e-2, 7), 2.0, {},
+            "reached_t_end"),
+    "G*2": (lambda: _launch("G", {"a0": 2, "q": _THIRD}, 2e-2, 7), 2.0, {},
+            "reached_t_end"),
+}
+
+
+@pytest.mark.parametrize("path", list(REFERENCE_PATHS))
+def test_generated_step_matches_reference_loop(path):
+    build, t_end, opts, termination = REFERENCE_PATHS[path]
+    traj = _assert_matches_reference(*build(), t_end, 1e-10, **opts)
+    assert traj.termination == termination
+
+
+_SLOTS = [Fraction(-1), Fraction(-1, 2), Fraction(0), _THIRD, Fraction(1, 2), Fraction(1)]
+_SLOTS_NONNEG = [q for q in _SLOTS if q >= 0]
+
+
+@cache
+def _scan_solution(cid, params):
+    return solve_series(cid, dict(params), order=10)
+
+
+_SCAN_POINTS = st.one_of(
+    st.builds(lambda abc, swap: ("C", (("a0", abc[0]), ("b0", abc[2 if swap else 1]),
+                                       ("c0", abc[1 if swap else 2]))),
+              st.sampled_from([(5, 3, 4), (13, 5, 12), (17, 8, 15)]), st.booleans()),
+    st.just(("D", (("b0", 1), ("f0", 1)))),
+    st.builds(lambda q1, q2: ("F", (("b0", 1), ("q1", q1), ("q2", q2))),
+              st.sampled_from(_SLOTS_NONNEG), st.sampled_from(_SLOTS_NONNEG)),
+    st.builds(lambda q: ("G", (("a0", 1), ("q", q))), st.sampled_from(_SLOTS)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(point=_SCAN_POINTS, t0=st.sampled_from([1e-2, 2e-2]),
+       tol=st.sampled_from([1e-8, 1e-10]))
+def test_generated_step_matches_reference_on_scan_launches(point, t0, tol):
+    sol = _scan_solution(*point)
+    traj = _assert_matches_reference(sol.system(), integ.launch_state(sol, t0), 1.0, tol)
+    assert traj.termination == "reached_t_end"
+
+
+def test_import_compiles_no_stepper():
+    # the step is generated on first use, so importing awflow costs nothing
+    code = ("import awflow; from awflow import integrate as integ; "
+            "assert integ._stepper.cache_info().currsize == 0")
     src = str(Path(integ.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
