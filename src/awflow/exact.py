@@ -4,12 +4,21 @@ Every coefficient that enters the order-by-order recursion is an exact
 rational, so golden-value comparisons downstream are equality tests.  The
 truncation order of a series is explicit state: operations truncate to the
 smaller operand order and never extend precision.
+
+Two kernels sum rational products.  `pair_sum` adds integer ratios (n, d)
+over a running common denominator and reduces once; `TruncSeries.__mul__`
+and the bootstrap of the staircase use it.  `Scaled` holds a whole series
+as integer numerators over one common denominator, so a Cauchy coefficient
+is one C-level integer dot, `sum(map(mul, a[:k + 1], b[k::-1]))`, over the
+product of the two denominators; the linear phase of the staircase and the
+re-substitution check use it.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -59,6 +68,58 @@ def pair_sum(terms) -> tuple[int, int]:
 def ratio_sum(terms) -> Fraction:
     """`pair_sum` as a Fraction."""
     return Fraction(*pair_sum(terms))
+
+
+class Scaled:
+    """Rationals as integer numerators over one common denominator.
+
+    Entry m is nums[m] / den, and den is a multiple of every entry's reduced
+    denominator.  Indexing and iteration give the pairs (nums[m], den), so a
+    `Scaled` reads as a list of integer ratios.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int = 1):
+        self.nums, self.den = nums, den
+
+    @classmethod
+    def of(cls, values) -> "Scaled":
+        """Integer ratios (n, d) with d > 0 over the lcm of their d; a
+        `Scaled` comes back as it is."""
+        if isinstance(values, cls):
+            return values
+        values = list(values)
+        den = lcm(*(d for _, d in values))
+        return cls([n * (den // d) for n, d in values], den)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __iter__(self):
+        den = self.den
+        return ((n, den) for n in self.nums)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [(n, self.den) for n in self.nums[index]]
+        return self.nums[index], self.den
+
+    def __mul__(self, other: "Scaled") -> "Scaled":
+        """The product truncated to the shorter operand, divided by its
+        content gcd(den, *nums): den is then the lcm of the reduced
+        denominators."""
+        a, b = self.nums, other.nums
+        nums = [sum(map(mul, a[:k + 1], b[k::-1])) for k in range(min(len(a), len(b)))]
+        den = self.den * other.den
+        g = gcd(den, *nums)
+        return Scaled([n // g for n in nums], den // g) if g > 1 else Scaled(nums, den)
+
+    def rescale(self, den: int) -> None:
+        """Put the entries over den, a multiple of the current den."""
+        f = den // self.den
+        self.nums = [n * f for n in self.nums]
+        self.den = den
 
 
 class TruncSeries:

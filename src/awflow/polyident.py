@@ -11,11 +11,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import perm
+from math import lcm, perm
+from operator import mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .exact import TruncSeries, pair_sum, ratio_sum
+from .exact import Scaled, TruncSeries
 
 if TYPE_CHECKING:
     from .systems import SystemId
@@ -43,38 +44,43 @@ def eval_identities(identities: list[PolyIdentity], funcs: dict[str, TruncSeries
                     lam: Fraction | None = None) -> list[TruncSeries]:
     """Substitute exact series into every identity in one pass.
 
-    Derivative series and the products of `term_plan` are built once per call
-    as (numerator, denominator) pairs and shared by every term of every
-    identity; each output coefficient is one `ratio_sum`.
+    Each function is scaled once to integer numerators over one common
+    denominator (`exact.Scaled`).  Its derivative series and the products of
+    `term_plan` are built from those once per call and shared by every term
+    of every identity, each product reduced once by its content.  An output
+    coefficient sums its terms' numerators over the lcm of their
+    denominators and is reduced once.
     """
     base = min(s.order for s in funcs.values())
     plan = term_plan(identities)
     factors = {f for ident in identities for t in ident.terms for f in t.factors}
-    prods = {((fn, d),): [(c.numerator * perm(i + d, d), c.denominator)
-                          for i, c in enumerate(funcs[fn].coef[d:base + 1])]
+    scaled = {fn: Scaled.of(c.as_integer_ratio() for c in funcs[fn].coef[:base + 1])
+              for fn in {fn for fn, _ in factors}}
+    prods = {((fn, d),): Scaled([n * perm(i, d) for i, n in enumerate(scaled[fn].nums[d:], d)],
+                                scaled[fn].den)
              for fn, d in factors}
-    prods[()] = [(1, 1)] + [(0, 1)] * base
+    prods[()] = Scaled([1] + [0] * base)
     out = []
     for ident in identities:
         if lam is None and any(t.lam for t in ident.terms):
             raise ValueError(f"identity {ident.label} needs a lambda value")
-        terms = [(q.numerator, q.denominator, _product(prods, plan, t.factors))
+        terms = [(q, _product(prods, plan, t.factors))
                  for t in ident.terms if (q := t.coeff * Fraction(lam or 0) ** t.lam)]
         # one derivative drops the usable order by its level
         n = base - max((d for t in ident.terms for _, d in t.factors), default=0)
-        out.append(TruncSeries([ratio_sum((cn * p[k][0], cd * p[k][1])
-                                          for cn, cd, p in terms if p[k][0])
-                                for k in range(n + 1)], order=n))
+        den = lcm(*(q.denominator * p.den for q, p in terms))
+        weights = [q.numerator * (den // (q.denominator * p.den)) for q, p in terms]
+        out.append(TruncSeries([Fraction(sum(map(mul, weights, column)), den) for column
+                                in zip(*(p.nums[:n + 1] for _, p in terms))], order=n))
     return out
 
 
-def _product(prods: dict, plan: MappingProxyType, key: tuple) -> list[tuple[int, int]]:
-    """Coefficient pairs of the product of the factors in key, memoized in prods."""
+def _product(prods: dict, plan: MappingProxyType, key: tuple) -> Scaled:
+    """The product of the factors in key, memoized in prods; a leaf is a
+    `Scaled` or a list of integer ratios."""
     if key not in prods:
         a, b = (_product(prods, plan, half) for half in plan[key])
-        prods[key] = [pair_sum((x * y, dx * dy) for (x, dx), (y, dy)
-                               in zip(a[:k + 1], b[k::-1]) if x and y)
-                      for k in range(min(len(a), len(b)))]
+        prods[key] = Scaled.of(a) * Scaled.of(b)
     return prods[key]
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
-from math import lcm, perm
+from itertools import permutations, repeat
+from math import gcd, lcm, perm
+from operator import add, mul
 
 from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
-from .exact import TruncSeries, pair_sum, rat, rat_str, ratio_sum
+from .exact import Scaled, TruncSeries, pair_sum, rat, rat_str, ratio_sum
 from .polyident import PolyIdentity, eval_identities, polynomialize, product_plan
 from .reptheory import AloffWallach
 from .systems import SystemId
@@ -109,9 +110,11 @@ class _Stream:
     shared by all terms.  A settled value is a reduced pair (n, d), a live
     one an affine form {pid: Fraction, None: constant}.  In the bootstrap a
     cache entry or row that is not affine yet is `None` and is computed again
-    when it is read.  After the bootstrap (see `_go_linear`) every entry is a
-    pair that reads the unsettled coefficients as 0, patched as they settle,
-    and a row is its settled part plus the leading-order L(j) times them.
+    when it is read.  After the bootstrap (see `_go_linear`) every cache is a
+    `Scaled` series that reads the unsettled coefficients as 0, patched as
+    they settle, and a row is its settled part plus the leading-order L(j)
+    times them.  All caches then share one denominator, so a Cauchy
+    coefficient is one integer dot over its square.
     """
 
     def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
@@ -136,14 +139,21 @@ class _Stream:
         self._next_pid = 0
         self.diagnostics: list[dict] = []
         self.free_slots_found: list[tuple[str, int]] = []
-        self._caches: dict[tuple[tuple[str, int], ...], list] = defaultdict(list)
-        # linear phase: the coefficients the entries read as 0; per function the
-        # (cache, leaf order, low coefficients of d node / d leaf) of its nodes;
-        # per identity (fn, delta) -> (den, ((dord, num), ...)) with
-        # L_{fn[j+delta]}(j) = sum num perm(j + delta, dord) / den
+        self._caches: dict[tuple[tuple[str, int], ...], list | Scaled] = defaultdict(list)
+        # linear phase: the coefficients the entries read as 0; the common
+        # denominator of the caches and that of the patch series; per leaf
+        # (fn, dord) the (cache, numerators of the low coefficients of d node /
+        # d leaf) of its nodes; per identity the lcm of its term coefficients'
+        # denominators with its terms (weight, cache, None) or, for a top
+        # product, (weight, left half, right half), and (fn, delta) -> (den,
+        # ((dord, num), ...)) with L_{fn[j+delta]}(j) = sum num perm(j + delta,
+        # dord) / den
         self._zeroed: dict[tuple[str, int], None] | None = None
-        self._tops: set[tuple[tuple[str, int], ...]] = set()
-        self._patch: dict[str, list[tuple[list, int, list]]] = {}
+        self._den = self._patch_den = 1
+        self._patch: dict[tuple[str, int], list[tuple[Scaled, list[int]]]] = defaultdict(list)
+        self._leaves: list[tuple[Scaled, str, int]] = []  # (cache, fn, dord)
+        self._nodes: list[tuple[Scaled, Scaled, Scaled]] = []  # (cache, left, right)
+        self._row_terms: list[tuple[int, list[tuple[int, Scaled, Scaled | None]]]] = []
         self._lin: list[dict[tuple[str, int], tuple]] = []
         if lam is None and any(t.lam for ident in identities for t in ident.terms):
             raise ValueError("identity carries the Einstein constant; pass lambda")
@@ -174,8 +184,6 @@ class _Stream:
 
     def _factor_coef(self, fn: str, dord: int, u: int) -> tuple[int, int] | dict:
         """Coefficient u of the dord-th derivative of fn, as a cache entry."""
-        if self._zeroed is not None and (fn, u + dord) in self._zeroed:
-            return 0, 1
         value, mult = self._coef(fn, u + dord), perm(u + dord, dord)
         if type(value) is tuple:
             return Fraction(value[0] * mult, value[1]).as_integer_ratio()
@@ -206,9 +214,6 @@ class _Stream:
                 ) -> tuple[int, int] | dict | None:
         """Coefficient j of a product node from the two halves of its split."""
         left, right = self._plan[key]
-        if self._zeroed is not None:
-            return pair_sum((a * b, c * e) for (a, c), (b, e) in zip(
-                self._caches[left][:j + 1], self._caches[right][j::-1]) if a and b)
         for half in (left, right):
             cache = self._caches[half]
             for u in range(j + 1):
@@ -219,7 +224,14 @@ class _Stream:
     def _row(self, ident_idx: int, j: int) -> tuple[int, int] | dict | None:
         if self._zeroed is None:
             return _dot((coeff, self._product(key, j)) for coeff, key in self._terms[ident_idx])
-        products = [(coeff, self._top(key, j)) for coeff, key in self._terms[ident_idx]]
+        lcd, terms = self._row_terms[ident_idx]
+        cached = top = 0
+        for w, a, b in terms:
+            if b is None:
+                cached += w * a.nums[j]
+            else:
+                top += w * sum(map(mul, a.nums[:j + 1], b.nums[j::-1]))
+        products = [((cached * self._den + top, lcd * self._den * self._den), (1, 1))]
         for fn, o in self._zeroed:  # plus L(j) times each unsettled coefficient
             if (a := self._lin[ident_idx].get((fn, o - j))) is not None:
                 products.append(((sum(n * perm(o, dord) for dord, n in a[1]), a[0]),
@@ -227,14 +239,6 @@ class _Stream:
         return _dot(products)
 
     # ---- linear phase
-
-    def _top(self, key: tuple[tuple[str, int], ...], j: int) -> tuple[int, int]:
-        """Coefficient j of a term's product, uncached for a top one."""
-        if key not in self._tops:
-            return self._product(key, j)
-        for half in self._plan[key]:
-            self._product(half, j)
-        return self._cauchy(key, j)
 
     def _go_linear(self, j: int) -> None:
         """Switch at the start of step j = 4d + 1 or later, with no row deferred.
@@ -264,28 +268,38 @@ class _Stream:
         # final.  A top product, a term's that is no node's half, is not
         # cached from here on, as nothing reads it again.
         halves = {half for split in self._plan.values() for half in split}
-        self._tops = {key for key in self._keys if len(key) > 1 and key not in halves}
+        tops = {key for key in self._keys if len(key) > 1 and key not in halves}
         deriv = {(f,): {f: [(1, 1)] + [(0, 1)] * (d + f[1])}
                  for f in {f for key in self._keys for f in key}}
-        for node in sorted({*deriv, *self._plan, *self._keys}, key=len):
-            if len(node) > 1:
-                sums: dict = {}
-                for a, b in permutations(self._plan[node]):
-                    low = [(v, *p) for v, p in enumerate(self._caches[b][:2 * d + 1]) if p[0]]
-                    for leaf, series in deriv[a].items():
-                        terms = sums.setdefault(leaf, [[] for _ in series])
-                        for u, (x, dx) in enumerate(series):
-                            for v, y, dy in low if x else ():
-                                if u + v < len(terms):
-                                    terms[u + v].append((x * y, dx * dy))
-                deriv[node] = {leaf: [pair_sum(t) if len(t) > 1 else t[0] if t else (0, 1)
-                                      for t in terms] for leaf, terms in sums.items()}
-            if node in self._tops:
-                self._caches.pop(node, None)
-                continue
-            for (fn, dord), series in deriv[node].items():
-                self._patch.setdefault(fn, []).append((self._caches[node], dord, series))
+        for node in sorted({*self._plan, *self._keys} - deriv.keys(), key=len):
+            sums: dict = {}
+            for a, b in permutations(self._plan[node]):
+                low = [(v, *p) for v, p in enumerate(self._caches[b][:2 * d + 1]) if p[0]]
+                for leaf, series in deriv[a].items():
+                    terms = sums.setdefault(leaf, [[] for _ in series])
+                    for u, (x, dx) in enumerate(series):
+                        for v, y, dy in low if x else ():
+                            if u + v < len(terms):
+                                terms[u + v].append((x * y, dx * dy))
+            deriv[node] = {leaf: [pair_sum(t) if len(t) > 1 else t[0] if t else (0, 1)
+                                  for t in terms] for leaf, terms in sums.items()}
+        caches = self._caches = {node: Scaled.of(self._caches[node])
+                                 for node in deriv if node not in tops}
+        self._grow(lcm(*(cache.den for cache in caches.values())))
+        self._leaves = [(caches[node], *node[0]) for node in caches if len(node) == 1]
+        self._nodes = [(caches[node], *(caches[h] for h in self._plan[node]))
+                       for node in caches if len(node) > 1]  # in size order
+        patch = [(cache, leaf, series) for node, cache in caches.items()
+                 for leaf, series in deriv[node].items()]
+        self._patch_den = lcm(*(den for *_, series in patch for _, den in series))
+        for cache, leaf, series in patch:
+            self._patch[leaf].append(
+                (cache, [n * (self._patch_den // den) for n, den in series]))
         for terms in self._terms:
+            lcd = lcm(*(cd for (_, cd), _ in terms))
+            self._row_terms.append((lcd, [
+                (cn * (lcd // cd), *((caches[h] for h in self._plan[key]) if key in tops
+                                     else (caches[key], None))) for (cn, cd), key in terms]))
             acc = defaultdict(list)
             for (cn, cd), key in terms:
                 for (fn, dord), series in deriv[key].items():
@@ -300,26 +314,59 @@ class _Stream:
                 (dord, n * (den // ad)) for dord, (n, ad) in row)) for c, row in lin.items()})
         self._zeroed = zeroed
 
+    def _grow(self, den: int) -> None:
+        """Put every cache over den, a multiple of their common denominator."""
+        self._den = den
+        for cache in self._caches.values():
+            cache.rescale(den)
+
     def _sync(self, j: int) -> None:
-        """Patch every entry that read a now settled coefficient as 0, one
-        `pair_sum` per entry, and read the coefficients of order j + d as 0."""
-        patches, caches = defaultdict(list), {}  # (cache id, index) -> pairs
+        """Patch every entry that read a now settled coefficient as 0 and
+        read the coefficients of order j + d as 0.  The common denominator
+        grows at most once; a patch is then one integer add per entry."""
+        fresh = []
         for fn, o in list(self._zeroed):
             if type(value := self._coef(fn, o)) is not tuple:
                 continue
             del self._zeroed[fn, o]
-            for cache, dord, series in self._patch[fn] if value[0] else ():
-                caches[id(cache)] = cache
-                scale = value[0] * perm(o, dord)
-                for m in range(o - dord, len(cache)):
-                    n, den = series[m - o + dord]  # index <= d + dord
-                    if n:
-                        patches[id(cache), m].append((scale * n, value[1] * den))
-        for (key, m), pairs in patches.items():
-            pairs.append(caches[key][m])
-            caches[key][m] = pair_sum(pairs)
+            if value[0]:
+                fresh.append((fn, o, *value))
+        den = lcm(self._den, *(vd * self._patch_den for *_, vd in fresh))
+        if den != self._den:
+            self._grow(den)
+        size = len(self._leaves[0][0].nums)  # the length of every cache
+        for fn, o, vn, vd in fresh:
+            for dord in range(max(o - size + 1, 0), self.d + 1):
+                f = vn * perm(o, dord) * (den // (vd * self._patch_den))
+                for cache, series in self._patch[fn, dord]:
+                    nums = cache.nums  # series is no shorter than this tail
+                    nums[o - dord:] = map(add, nums[o - dord:], map(mul, series, repeat(f)))
         for fn in self.functions:
             self._zeroed[fn, j + self.d] = None
+
+    def _extend(self, j: int) -> None:
+        """Extend every cache through index j, reading the unsettled
+        coefficients as 0: a new entry of a product is one integer dot of
+        its halves' numerators over den^2 and one exact division by den."""
+        for cache, fn, dord in self._leaves:
+            for o in range(len(cache.nums) + dord, j + dord + 1):
+                n, d = (0, 1) if (fn, o) in self._zeroed else self._coef(fn, o)
+                n = self._over_den(n * perm(o, dord), d)  # may replace cache.nums
+                cache.nums.append(n)
+        for cache, left, right in self._nodes:  # halves first
+            for m in range(len(cache.nums), j + 1):
+                n = sum(map(mul, left.nums[:m + 1], right.nums[m::-1]))
+                n = self._over_den(n, self._den * self._den)
+                cache.nums.append(n)
+
+    def _over_den(self, n: int, d: int) -> int:
+        """The numerator of n / d over the common denominator, which grows to
+        the lcm with the reduced d when that does not divide it."""
+        q, r = divmod(n * self._den, d)
+        if not r:
+            return q
+        self._grow(lcm(self._den, d // gcd(n, d)))
+        return n * self._den // d
 
     # ---- elimination
 
@@ -385,6 +432,7 @@ class _Stream:
                 log["introduced"].extend(self._introduce(o))
             if self._zeroed is not None:
                 self._sync(j)
+                self._extend(j)
             queue = deferred + [(i, j) for i in range(len(self.identities))]
             deferred = self._drain(queue, j, log)
             # a free slot is bound only when elimination has stalled, so a

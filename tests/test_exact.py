@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awflow.exact import TruncSeries, pair_sum, rat, rat_str
+from awflow.exact import Scaled, TruncSeries, pair_sum, rat, rat_str
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 series = st.lists(rationals, min_size=4, max_size=9).map(TruncSeries)
@@ -171,3 +172,46 @@ class TestTruncSeries:
             for t in (-0.1, -0.03, 0.05, 0.1):
                 fd = (s.eval_float(t + h)[0] - s.eval_float(t - h)[0]) / (2 * h)
                 assert abs(d.eval_float(t)[0] - fd) < 1e-8
+
+
+def scaled(s):
+    return Scaled.of(c.as_integer_ratio() for c in s.coef)
+
+
+class TestScaled:
+    """Integer numerators over one common denominator: the product kernel of
+    the linear staircase and of the re-substitution check."""
+
+    def check_product(self, a, b):
+        prod = scaled(a) * scaled(b)
+        got = [Fraction(*v) for v in prod]
+        assert got == schoolbook(a, b) == list((a * b).coef)
+        # divided by its content: den is the lcm of the reduced denominators
+        assert gcd(prod.den, *prod.nums) == 1
+        assert prod.den == lcm(*(q.denominator for q in got))
+        return prod
+
+    @given(a=kernel_series, b=kernel_series)
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_schoolbook_and_mul(self, a, b):
+        self.check_product(a, b)
+
+    def test_product_edge_cases(self):
+        big = Fraction(3**200 + 1, 2**310 - 1)
+        self.check_product(S([Fraction(-7, 3)]), S([Fraction(9, 14)]))  # order 0
+        self.check_product(S([0, 0, 5]), S([0, -1, 0, 0, 2]))         # zeros, unequal
+        prod = self.check_product(S([big, -big, 0, 1 / big]), S([big, Fraction(-1, 3), big]))
+        assert prod.den.bit_length() > 600
+        prod = self.check_product(S([1, big]), S([1, -big]))         # cancels at t^1
+        assert prod.nums[1] == 0
+        prod = self.check_product(S([0, 0, 0]), S([big, 1, -big]))   # cancels to 0
+        assert prod.nums == [0, 0, 0] and prod.den == 1
+
+    def test_reads_as_integer_ratios(self):
+        s = Scaled.of([(1, 2), (-2, 3), (0, 1)])
+        assert (s.nums, s.den) == ([3, -4, 0], 6)
+        assert len(s) == 3 and s[1] == (-4, 6) and s[1:] == [(-4, 6), (0, 6)]
+        assert list(s) == [(3, 6), (-4, 6), (0, 6)]
+        assert Scaled.of(s) is s
+        s.rescale(12)
+        assert (s.nums, s.den) == ([6, -8, 0], 12)

@@ -249,6 +249,21 @@ class TestSharedEvaluator:
             assert got == [_per_term(i, funcs, lam) for i in idents]
         assert all(r.is_zero() for r in sol.residual_series().values())
 
+    @pytest.mark.parametrize("solve,lam,corrupt", [
+        (lambda: solve_series("C", {"a0": 5, "b0": 3, "c0": 4}, order=28), None, ("a1", 3)),
+        (lambda: einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "f3": 1}, -1, order=12),
+         Fraction(-1), ("b", 2)),
+    ], ids=["S2-order-28", "E2-order-12"])
+    def test_deep_orders(self, solve, lam, corrupt):
+        # the unreduced products pass 300 bits here (455 for S2, 302 for E2)
+        sol = solve()
+        idents = polynomialize(sol.system())
+        for funcs in (sol.functions, _corrupted(sol.functions, *corrupt)):
+            got = eval_identities(idents, funcs, lam)
+            assert got == [_per_term(i, funcs, lam) for i in idents]
+        assert all(r.is_zero() for r in sol.residual_series().values())
+        assert not any(r.is_zero() for r in got)  # the corrupted copy's
+
     def test_eval_series_is_the_one_identity_call(self):
         sol = solve_series("G", {"a0": 1, "q": 1}, order=10)
         funcs = _corrupted(sol.functions, "c", 5)

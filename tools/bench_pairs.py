@@ -10,9 +10,10 @@ on each side, untraced, at seed 1 and the `run_seconds` of BENCHMARK.json, with
 the order swapped on every other pair so a slow stretch of the machine does not
 always hit the same side.  For every end-to-end metric of BENCHMARK.json the
 file records both sides' medians and quartiles, and in how many pairs the
-change was better.  Re-running with the same --pr merges the new workloads
-into the file; each workload entry records the base, seed and run length it
-was measured with.
+change was better.  Re-running with the same --pr adds the new sets to the
+file: a workload measured again is stored under the first free key of
+`<workload>_rerun`, `<workload>_rerun2`, ..., so no earlier set is lost.  Each
+entry records the base, seed and run length it was measured with.
 """
 from __future__ import annotations
 
@@ -82,6 +83,18 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     return out
 
 
+def merge(doc: dict, workload: str, entry: dict) -> str:
+    """Store a workload's set in doc["workloads"] under a key no set holds
+    yet, and return the key."""
+    sets = doc["workloads"]
+    key, n = workload, 1
+    while key in sets:
+        key = f"{workload}_rerun{n if n > 1 else ''}"
+        n += 1
+    sets[key] = entry
+    return key
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -102,13 +115,13 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i + 1}: " + ", ".join(
                     f"{s} {runs[s][-1]['ops_per_s']:.3f}" for s in ("parent", "change")),
                     file=sys.stderr)
-            doc["workloads"][workload] = {
+            merge(doc, workload, {
                 "base": sha, "seed": SEED, "seconds": seconds, "pairs": args.pairs,
                 "all_correct": all(r["correct"] and r["failed"] == 0
                                    for side in runs.values() for r in side),
                 "metrics": summarize(runs, bench["end_to_end"]),
                 "runs": runs,
-            }
+            })
             path.write_text(json.dumps(doc, indent=1) + "\n")
     print(path)
     return 0
