@@ -70,6 +70,7 @@ class EinsteinSpec:
     combo_slots: tuple[tuple[str, str, int], ...]  # (param, label, order)
     coeff_slots: tuple[SlotSpec, ...]
     order1: Callable[[Params], Values]  # first derivatives of every function
+    shifts: tuple[int, ...]  # the step offset of each identity (see OrbitCase)
 
     @property
     def slots(self) -> list[tuple[str, int]]:
@@ -111,6 +112,10 @@ class OrbitCase:
     einstein: EinsteinSpec | None
     holonomy: str
     description: str
+    # identity i of the holonomy system is read at step n + shifts[i], where
+    # its row reads no coefficient above order n: the rows of order n form
+    # one square block in the coefficients of order n
+    shifts: tuple[int, ...]
     # forced first derivatives where the order-by-order step is quadratic
     first_order_seed: Callable[[AloffWallach, Params], Values] = lambda aw, p: {}
     # |first derivative| at t=0 of the collapsing functions other than a
@@ -276,7 +281,7 @@ def _inv_6b0sq(p: Params) -> Fraction:
 
 
 _FLAG_EINSTEIN = EinsteinSpec(combo_slots=(), coeff_slots=(SlotSpec("f3", "f", 3),),
-                              order1=_flag_order1)
+                              order1=_flag_order1, shifts=(-1, -1, -1, -2, -2))
 
 _register(OrbitCase(
     id="A", long_id="A_generic_flag", system_kind="S1", orbit="u12",
@@ -293,6 +298,7 @@ _register(OrbitCase(
     holonomy="degenerate: f == 0 forces a product branch with holonomy in G2",
     description="flag singular orbit, generic principal orbit; the first-order "
                 "system forces f to vanish identically",
+    shifts=(-1, -1, -1, -1),
     vertical=VerticalCount(gauge_ignored=1, theorem=1),
     degenerate=True,
 ))
@@ -309,6 +315,7 @@ _register(OrbitCase(
     einstein=_FLAG_EINSTEIN,
     holonomy="degenerate: f == 0 forces a product branch with holonomy in G2",
     description="flag singular orbit, (1,0) principal orbit (diagonal metrics)",
+    shifts=(-1, -1, -1, -1),
     degenerate=True,
 ))
 
@@ -324,10 +331,11 @@ _register(OrbitCase(
     einstein=EinsteinSpec(
         combo_slots=(("asum1", "a1+a2", 1),),
         coeff_slots=(SlotSpec("f3", "f", 3),),
-        order1=_quotient_flag_order1),
+        order1=_quotient_flag_order1, shifts=(0, 0, -1, -1, -1, -2)),
     holonomy="subgroup of Spin(7); SU(4) exactly on the family a0^2 = b0^2 + c0^2",
     description="flag singular orbit, order-two quotient of the (1,1) principal "
                 "orbit; unique solution from (a0, b0, c0)",
+    shifts=(0, 0, -1, -1, -1),
     vertical=VerticalCount(gauge_ignored=1, theorem=1),
 ))
 
@@ -343,9 +351,10 @@ _register(OrbitCase(
     einstein=EinsteinSpec(
         combo_slots=(("bdiff1", "b-c", 1),),
         coeff_slots=(SlotSpec("a3", "a", 3),),
-        order1=_sphere_order1),
+        order1=_sphere_order1, shifts=(1, 0, 0, 2, -2)),
     holonomy="Spin(7)",
     description="five-sphere singular orbit; a collapses with |a'(0)| = 2",
+    shifts=(0, 0, 0, 1),
     first_order_seed=lambda aw, p: {"a": Fraction(2), "b": -p["f0"] / (6 * p["b0"]),
                                     "c": p["f0"] / (6 * p["b0"]), "f": _0},
     collapse_rates=lambda aw: {"a": Fraction(2)},
@@ -366,6 +375,7 @@ _register(OrbitCase(
     holonomy="Spin(7)",
     description="complex projective plane singular orbit, generic principal "
                 "orbit; third-order parameter q with f'''(0) = q/b0^2",
+    shifts=(0, 0, 0, 1),
     first_order_seed=lambda aw, p: {"a": Fraction(1), "b": _0, "c": _0,
                                     "f": Fraction(2 * aw.delta, aw.k + aw.l)},
     collapse_rates=lambda aw: {"a": Fraction(1),
@@ -387,6 +397,7 @@ _register(OrbitCase(
     holonomy="subgroup of Spin(7)",
     description="complex projective plane singular orbit with a1, a2, f "
                 "collapsing; b = c holds identically",
+    shifts=(1, 1, 1, 1, 1),
     first_order_seed=lambda aw, p: {"a1": Fraction(1), "a2": Fraction(1), "b": _0,
                                     "c": _0, "f": Fraction(3)},
     collapse_rates=lambda aw: {"a1": Fraction(1), "a2": Fraction(1), "f": Fraction(3)},
@@ -406,6 +417,7 @@ _register(OrbitCase(
     holonomy="subgroup of Spin(7)",
     description="complex projective plane singular orbit with b, f collapsing "
                 "and a1(0) = a2(0); a1 = a2 holds identically",
+    shifts=(1, 1, 0, 0, 1),
     first_order_seed=lambda aw, p: {"a1": _0, "a2": _0, "b": Fraction(1), "c": _0,
                                     "f": Fraction(-6)},
     collapse_rates=lambda aw: {"b": Fraction(1), "f": Fraction(6)},
@@ -425,6 +437,7 @@ _register(OrbitCase(
     holonomy="subgroup of Spin(7)",
     description="complex projective plane singular orbit with b, f collapsing "
                 "and a1(0) = -a2(0); second-order parameter c''(0) = q/a0",
+    shifts=(1, 1, 0, 0, 1),
     first_order_seed=lambda aw, p: {"a1": _0, "a2": _0, "b": Fraction(1), "c": _0,
                                     "f": Fraction(6)},
     collapse_rates=lambda aw: {"b": Fraction(1), "f": Fraction(6)},

@@ -7,11 +7,11 @@ smaller operand order and never extend precision.
 
 Two kernels sum rational products.  `pair_sum` adds integer ratios (n, d)
 over a running common denominator and reduces once; `TruncSeries.__mul__`
-and the bootstrap of the staircase use it.  `Scaled` holds a whole series
-as integer numerators over one common denominator, so a Cauchy coefficient
-is one C-level integer dot, `sum(map(mul, a[:k + 1], b[k::-1]))`, over the
-product of the two denominators; the linear phase of the staircase and the
-re-substitution check use it.
+uses it.  `Scaled` holds a whole series as integer numerators over one
+common denominator, so a Cauchy coefficient is one C-level integer dot,
+`sum(map(mul, a[:k + 1], b[k::-1]))`, over the product of the two
+denominators; the solver's product caches and the re-substitution check use
+it.
 """
 from __future__ import annotations
 

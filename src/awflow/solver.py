@@ -1,12 +1,14 @@
 """Order-by-order exact solution of the singular initial value problems.
 
-The cleared polynomial identities are consumed as a stream of Taylor
-coefficients.  At each order the identity coefficients are affine in the
-highest-order unknowns; the resulting linear systems are solved exactly over
-the rationals.  Underdetermined directions that survive one extra order are
-free slots: they consume a caller-supplied value (or a probe value when the
-solver runs in slot-census mode).  Re-substitution of the finished series
-into every identity is an exact zero check.
+The cleared polynomial identities are solved as Taylor coefficients, one
+order n at a time, in the block form of Eschenburg and Wang: identity i is
+read at step n + r_i, its shift, so that every row reads no coefficient
+above order n and is affine in the coefficients x_n of order n.  The rows
+of order n make one block M(n) x_n = -r(n), solved exactly over the
+rationals.  Where M(n) drops rank a cataloged free slot takes a
+caller-supplied value (or a probe value when the solver runs in
+slot-census mode).  Re-substitution of the finished series into every
+identity is an exact zero check.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from math import gcd, lcm, perm
 from operator import add, mul
 
 from .cases import ConstraintError, MissingSlotValue, OrbitCase, get_case
-from .exact import Scaled, TruncSeries, pair_sum, rat, rat_str, ratio_sum
+from .exact import Scaled, TruncSeries, rat, rat_str
 from .polyident import PolyIdentity, eval_identities, polynomialize, product_plan
 from .reptheory import AloffWallach
 from .systems import SystemId
@@ -32,443 +34,286 @@ class ResonantDatum(ConstraintError):
     """An Einstein datum at which a coefficient no slot binds is free (exit code 3)."""
 
 
-# -- affine values over pending unknowns ----------------------------------------
-
-
-def _affine(acc: dict) -> dict:
-    """The affine form {pid: Fraction, None: constant} of an accumulator that
-    maps each key to the integer ratios (n, d) of its terms; zero terms drop."""
-    return {p: c for p, terms in acc.items() if (c := ratio_sum(terms))}
-
-
-def _settle(form: dict) -> dict | tuple[int, int]:
-    """An affine form without pendings as its reduced pair (n, d)."""
-    if any(p is not None for p in form):
-        return form
-    return Fraction(form.get(None, 0)).as_integer_ratio()
-
-
-def _subst(form: dict, env: dict[int, dict]) -> dict:
-    """Replace the resolved pendings of an affine form by their affine forms."""
-    acc: dict = {}
-    for p, c in form.items():
-        for q, e in (env[p] if p in env else {p: 1}).items():
-            acc.setdefault(q, []).append((c.numerator * e.numerator,
-                                          c.denominator * e.denominator))
-    return _affine(acc)
-
-
-def _fresh(value: tuple[int, int] | dict, env: dict[int, dict]) -> tuple[int, int] | dict:
-    """A live value with its resolved pendings replaced; a settled or an
-    untouched value comes back as it is."""
-    if type(value) is tuple or not any(p in env for p in value):
-        return value
-    return _settle(_subst(value, env))
-
-
-def _dot(products) -> tuple[int, int] | dict | None:
-    """Sum of a * b over pairs of cache entries: settled products go through
-    one `pair_sum`, products with one live factor through the accumulator.
-    A product of two live factors, or of a `None` entry and a factor that is
-    not a settled zero, makes the sum `None`: not affine yet."""
-    pairs, acc = [], {}
-    for a, b in products:
-        if type(a) is not tuple:
-            a, b = b, a
-        if type(a) is not tuple:
-            return None
-        if not a[0]:
-            continue
-        if type(b) is tuple:
-            if b[0]:
-                pairs.append((a[0] * b[0], a[1] * b[1]))
-        elif b is None:
-            return None
-        else:
-            for p, c in b.items():
-                acc.setdefault(p, []).append((a[0] * c.numerator, a[1] * c.denominator))
-    if not acc:
-        return pair_sum(pairs)
-    acc.setdefault(None, []).extend(pairs)
-    return _settle(_affine(acc))
-
-
-# -- streaming staircase solver ----------------------------------------------------
+# -- the block recursion -----------------------------------------------------------
 
 
 class _Stream:
-    """Streaming staircase: row j of every identity is processed at step j.
+    """One block per order n through target + d, d the highest derivative in
+    the identities (1 for holonomy, 2 for Einstein systems).
 
-    Rows that are affine in the pending coefficients are eliminated exactly;
-    a row with a product of two live pendings waits (later eliminations and
-    slot bindings linearize it).  The system order d is the highest
-    derivative in the identities: coefficient o is introduced at step o - d,
-    and a pending still live at step o + d (a lag of 2d) is a free slot and
-    consumes a value from the binder.
-
-    Every product a term needs is cached once, split as `product_plan` says and
-    shared by all terms.  A settled value is a reduced pair (n, d), a live
-    one an affine form {pid: Fraction, None: constant}.  In the bootstrap a
-    cache entry or row that is not affine yet is `None` and is computed again
-    when it is read.  After the bootstrap (see `_go_linear`) every cache is a
-    `Scaled` series that reads the unsettled coefficients as 0, patched as
-    they settle, and a row is its settled part plus the leading-order L(j)
-    times them.  All caches then share one denominator, so a Cauchy
-    coefficient is one integer dot over its square.
+    Every product a term needs is cached once, split as `product_plan` says,
+    as a `Scaled` series over one common denominator; an entry reads the
+    coefficients not known yet as 0.  Row i of order n is its value at
+    x_n = 0 plus M(n)_i x_n: M(n)_i,fn sums perm(n, dord) times entry
+    r_i + dord of dN/dl over dord, N the terms of identity i, l the leaf
+    (fn, dord).  From order 2d + max r + 1 on that entry is settled: M(n)
+    comes from constants built once, and dN/dl patches the entries that read
+    x_n as 0.  Before, dN/dl is taken at the current entries, which are
+    recomputed once x_n is known; a row that can multiply two unknowns
+    (holonomy C at n = 1) waits for a later pass of its order.
     """
 
     def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
-                 target_order: int, seeds: dict[tuple[str, int], Fraction],
-                 slot_binder, lam: Fraction | None,
-                 avoid_pivot: frozenset[tuple[str, int]]):
-        self.identities = identities
-        self.functions = functions
-        self.d = max(dord for ident in identities for term in ident.terms
-                     for _, dord in term.factors)
-        self.target = target_order
-        self.internal = target_order + 3 * self.d
-        self.slot_binder = slot_binder
-        self.avoid_pivot = avoid_pivot
-        self.coeffs: dict[str, list[tuple[int, int] | dict | None]] = {
-            fn: [None] * (self.internal + 1) for fn in functions
-        }
-        for (fn, o), v in seeds.items():
-            self.coeffs[fn][o] = Fraction(v).as_integer_ratio()
-        self.env: dict[int, dict] = {}
-        self.live: dict[int, tuple[str, int]] = {}  # pid -> (fn, order)
-        self._next_pid = 0
-        self.diagnostics: list[dict] = []
-        self.free_slots_found: list[tuple[str, int]] = []
-        self._caches: dict[tuple[tuple[str, int], ...], list | Scaled] = defaultdict(list)
-        # linear phase: the coefficients the entries read as 0; the common
-        # denominator of the caches and that of the patch series; per leaf
-        # (fn, dord) the (cache, numerators of the low coefficients of d node /
-        # d leaf) of its nodes; per identity the lcm of its term coefficients'
-        # denominators with its terms (weight, cache, None) or, for a top
-        # product, (weight, left half, right half), and (fn, delta) -> (den,
-        # ((dord, num), ...)) with L_{fn[j+delta]}(j) = sum num perm(j + delta,
-        # dord) / den
-        self._zeroed: dict[tuple[str, int], None] | None = None
-        self._den = self._patch_den = 1
-        self._patch: dict[tuple[str, int], list[tuple[Scaled, list[int]]]] = defaultdict(list)
-        self._leaves: list[tuple[Scaled, str, int]] = []  # (cache, fn, dord)
-        self._nodes: list[tuple[Scaled, Scaled, Scaled]] = []  # (cache, left, right)
-        self._row_terms: list[tuple[int, list[tuple[int, Scaled, Scaled | None]]]] = []
-        self._lin: list[dict[tuple[str, int], tuple]] = []
+                 shifts: tuple[int, ...], target_order: int,
+                 seeds: dict[tuple[str, int], Fraction], slot_binder,
+                 lam: Fraction | None, slots: frozenset[tuple[str, int]]):
         if lam is None and any(t.lam for ident in identities for t in ident.terms):
             raise ValueError("identity carries the Einstein constant; pass lambda")
+        self.identities, self.functions, self.shifts = identities, functions, shifts
+        self.d = max(dord for ident in identities for t in ident.terms for _, dord in t.factors)
+        self.target, self.last, self.rmax = target_order, target_order + self.d, max(shifts)
+        self.lin_from = 2 * self.d + self.rmax + 1
+        self.slot_binder, self.slots = slot_binder, slots
+        size = self.last + self.rmax + self.d + 1  # the orders a cache entry reads
+        self.x: dict[str, list[Fraction | None]] = {fn: [None] * size for fn in functions}
+        for (fn, o), v in seeds.items():
+            self.x[fn][o] = Fraction(v)
+        self.diagnostics: list[dict] = []
+        self.free_slots_found: list[tuple[str, int]] = []
         self._terms = [[(q.as_integer_ratio(), t.factors) for t in ident.terms
                         if (q := t.coeff * (lam or 0) ** t.lam)] for ident in identities]
-        self._keys = frozenset(key for terms in self._terms for _, key in terms)
-        self._plan = product_plan(self._keys)
+        keys = frozenset(key for terms in self._terms for _, key in terms)
+        self._plan = plan = product_plan(keys)
+        halves = {half for split in plan.values() for half in split}
+        self._by_size = sorted({(f,) for key in keys for f in key} | set(plan),
+                               key=lambda node: (len(node), node))
+        self.den = 1
+        # every leaf and half is cached; a top product, a term's that is no
+        # node's half, is read only through its halves
+        self._caches = {node: Scaled([]) for node in self._by_size
+                        if len(node) == 1 or node in halves}
+        self._leaves = [(c, *node[0]) for node, c in self._caches.items() if len(node) == 1]
+        self._nodes = [(c, *(self._caches[h] for h in plan[node]))
+                       for node, c in self._caches.items() if len(node) > 1]
+        self._rows = []  # per identity: lcd, then (weight, cache, None) or (weight, halves)
+        for terms in self._terms:
+            lcd = lcm(*(cd for (_, cd), _ in terms))
+            self._rows.append((lcd, [(cn * (lcd // cd), *(
+                (self._caches[key], None) if key in self._caches
+                else (self._caches[h] for h in plan[key]))) for (cn, cd), key in terms]))
+        self._lin: list | None = None  # M(n)'s constants, from order lin_from on
 
-    # ---- coefficient bookkeeping
+    # ---- the caches
 
-    def _introduce(self, order: int) -> list[str]:
-        fresh = []
-        for fn in self.functions:
-            if self.coeffs[fn][order] is None:
-                pid = self._next_pid
-                self._next_pid += 1
-                self.coeffs[fn][order] = {pid: Fraction(1)}
-                self.live[pid] = (fn, order)
-                fresh.append(f"{fn}[{order}]")
-        return fresh
+    def _grow(self, need: int) -> None:
+        """Put every cache over a multiple of need and of the common denominator,
+        taking the factor it lacked twice: coefficient denominators gain the
+        same small primes order after order."""
+        g = need // gcd(need, self.den)
+        self.den *= g * g
+        for cache in self._caches.values():
+            cache.rescale(self.den)
 
-    def _coef(self, fn: str, order: int) -> tuple[int, int] | dict:
-        value = self.coeffs[fn][order]
-        if value is None:  # pragma: no cover - guarded by the staircase layout
-            raise AssertionError(f"coefficient {fn}[{order}] read before introduction")
-        value = self.coeffs[fn][order] = _fresh(value, self.env)
-        return value
+    def _over_den(self, n: int, d: int) -> int:
+        """The numerator of n / d over the common denominator, grown if needed."""
+        q, r = divmod(n * self.den, d)
+        if not r:
+            return q
+        self._grow(d // gcd(n, d))
+        return n * self.den // d
 
-    def _factor_coef(self, fn: str, dord: int, u: int) -> tuple[int, int] | dict:
-        """Coefficient u of the dord-th derivative of fn, as a cache entry."""
-        value, mult = self._coef(fn, u + dord), perm(u + dord, dord)
-        if type(value) is tuple:
-            return Fraction(value[0] * mult, value[1]).as_integer_ratio()
-        return {p: c * mult for p, c in value.items()}
+    def _fill(self, lo: int, m: int) -> None:
+        """Recompute every cache entry from index lo through m: an entry of a
+        product is one integer dot of its halves' numerators over den^2."""
+        for cache, fn, dord in self._leaves:
+            del cache.nums[lo:]
+            for u in range(lo, m + 1):
+                v = self.x[fn][u + dord]
+                n = 0 if v is None else self._over_den(v.numerator * perm(u + dord, dord),
+                                                       v.denominator)
+                cache.nums.append(n)  # after _over_den, which may replace cache.nums
+        for cache, left, right in self._nodes:  # halves first
+            del cache.nums[lo:]
+            for k in range(lo, m + 1):
+                n = self._over_den(sum(map(mul, left.nums[:k + 1], right.nums[k::-1])),
+                                   self.den * self.den)
+                cache.nums.append(n)
 
-    # ---- identity coefficient via the shared product plan
+    def _patch_in(self, n: int, values: dict[str, Fraction]) -> None:
+        """Add x_n to every entry that read it as 0, through dN/dl; the
+        common denominator grows at most once."""
+        fresh = [(fn, dord, Fraction(v.numerator * perm(n, dord),
+                                     v.denominator * self._patch_den))
+                 for fn, v in values.items() for dord in range(min(n, self.d) + 1)
+                 if v and (fn, dord) in self._patch]
+        if (need := lcm(*(q.denominator for *_, q in fresh))) > gcd(need, self.den):
+            self._grow(need)
+        for fn, dord, q in fresh:
+            f, u = q.numerator * (self.den // q.denominator), n - dord
+            for cache, series in self._patch[fn, dord]:  # as long as the tail from u
+                cache.nums[u:] = map(add, cache.nums[u:], map(mul, series, repeat(f)))
 
-    def _product(self, key: tuple[tuple[str, int], ...], j: int
-                 ) -> tuple[int, int] | dict | None:
-        """Coefficient j of the product of the factors in `key`."""
-        cache = self._caches[key]
-        if len(cache) <= j:
-            if len(key) == 1:
-                for jj in range(len(cache), j + 1):
-                    cache.append(self._factor_coef(*key[0], jj))
-            else:
-                for half in self._plan[key]:
-                    self._product(half, j)
-                for jj in range(len(cache), j + 1):
-                    cache.append(self._cauchy(key, jj))
-        value = cache[j]
-        if type(value) is not tuple:
-            value = cache[j] = (self._cauchy(key, j) if value is None
-                                else _fresh(value, self.env))
-        return value
+    # ---- the block of order n
 
-    def _cauchy(self, key: tuple[tuple[str, int], ...], j: int
-                ) -> tuple[int, int] | dict | None:
-        """Coefficient j of a product node from the two halves of its split."""
-        left, right = self._plan[key]
-        for half in (left, right):
-            cache = self._caches[half]
-            for u in range(j + 1):
-                if type(cache[u]) is not tuple:
-                    self._product(half, u)
-        return _dot(zip(self._caches[left][:j + 1], self._caches[right][j::-1]))
+    def _deriv(self) -> dict:
+        """node -> leaf -> (h, nums): dN/dl to index max(r) + dord of the
+        leaf, nums[k] / den^h, at the current entries."""
+        rmax, den, out = self.rmax, self.den, {}
+        for node in self._by_size:
+            if len(node) == 1:
+                (_, dord), = node
+                out[node] = {node[0]: (0, [1] + [0] * (rmax + dord))} if dord >= -rmax else {}
+                continue
+            acc: dict = {}
+            for a, b in permutations(self._plan[node]):  # dN = dA B + A dB
+                other = self._caches[b].nums
+                for leaf, (h, s) in out[a].items():
+                    p = [sum(map(mul, s[:k + 1], other[k::-1])) for k in range(len(s))]
+                    if leaf in acc:
+                        h0, q = acc[leaf]
+                        p = [u * den ** max(h0 - h - 1, 0) + v * den ** max(h + 1 - h0, 0)
+                             for u, v in zip(p, q)]
+                        h = max(h0 - 1, h)
+                    acc[leaf] = (h + 1, p)
+            out[node] = acc
+        return out
 
-    def _row(self, ident_idx: int, j: int) -> tuple[int, int] | dict | None:
-        if self._zeroed is None:
-            return _dot((coeff, self._product(key, j)) for coeff, key in self._terms[ident_idx])
-        lcd, terms = self._row_terms[ident_idx]
+    def _constants(self, deriv: dict) -> list[tuple[int, dict]]:
+        """Per identity, (den, (fn, dord) -> num): M(n)_i,fn sums perm(n, dord)
+        num / den over dord."""
+        out = []
+        for r, (lcd, _), terms in zip(self.shifts, self._rows, self._terms):
+            parts: dict = defaultdict(list)
+            for (cn, cd), key in terms:
+                for leaf, (h, s) in deriv[key].items():
+                    if 0 <= r + leaf[1] and s[r + leaf[1]]:
+                        parts[leaf].append((cn * (lcd // cd) * s[r + leaf[1]], h))
+            row = {}
+            for leaf, vals in parts.items():
+                h = max(hv for _, hv in vals)
+                row[leaf] = Fraction(sum(v * self.den ** (h - hv) for v, hv in vals),
+                                     lcd * self.den ** h)
+            den = lcm(*(a.denominator for a in row.values()))
+            out.append((den, {leaf: a.numerator * (den // a.denominator)
+                              for leaf, a in row.items() if a}))
+        return out
+
+    def _go_linear(self) -> None:
+        """M(n)'s constants and the patch series, from settled entries."""
+        deriv = self._deriv()
+        self._lin = self._constants(deriv)
+        series = []
+        for node, cache in self._caches.items():
+            for leaf, (h, s) in deriv[node].items():
+                g = gcd(self.den ** h, *s)
+                series.append((leaf, cache, self.den ** h // g, [v // g for v in s]))
+        self._patch_den = lcm(*(den for _, _, den, _ in series))
+        self._patch = defaultdict(list)  # leaf -> (cache, dN/dl numerators)
+        for leaf, cache, den, nums in series:
+            if any(nums):
+                self._patch[leaf].append((cache, [v * (self._patch_den // den) for v in nums]))
+
+    def _value(self, i: int, j: int) -> int:
+        """Row j of identity i at the current entries, over lcd_i den^2."""
         cached = top = 0
-        for w, a, b in terms:
+        for w, a, b in self._rows[i][1]:
             if b is None:
                 cached += w * a.nums[j]
             else:
                 top += w * sum(map(mul, a.nums[:j + 1], b.nums[j::-1]))
-        products = [((cached * self._den + top, lcd * self._den * self._den), (1, 1))]
-        for fn, o in self._zeroed:  # plus L(j) times each unsettled coefficient
-            if (a := self._lin[ident_idx].get((fn, o - j))) is not None:
-                products.append(((sum(n * perm(o, dord) for dord, n in a[1]), a[0]),
-                                 self._coef(fn, o)))
-        return _dot(products)
+        return cached * self.den + top
 
-    # ---- linear phase
+    def _affine(self, n: int, rows: list[int], unknowns: list[str]) -> list[int]:
+        """The rows of order n in which no term can multiply two unknowns,
+        judged from each factor's first entry not known to be zero."""
+        low = {(fn, dord): next(o for o in range(dord, len(xs)) if xs[o] is None or xs[o])
+               - dord for fn, xs in self.x.items() for dord in range(self.d + 1)}
+        out = []
+        for i in rows:
+            j = n + self.shifts[i]
+            for _, key in self._terms[i]:
+                spare = sorted(n - f[1] - low[f] for f in key if f[0] in unknowns and n >= f[1])
+                if spare[1:] and sum(map(low.get, key)) + spare[0] + spare[1] <= j:
+                    break
+            else:
+                out.append(i)
+        return out
 
-    def _go_linear(self, j: int) -> None:
-        """Switch at the start of step j = 4d + 1 or later, with no row deferred.
-
-        Every declared slot has order <= 3d and the Einstein systems declare
-        none, so all slots are bound by step 4d; with no slot left a pivot is
-        the freshest unknown, so a resolved form holds only pendings of at
-        most its own order, and `_overdue` leaves none below j - d.  Every
-        unsettled coefficient thus has order >= j - d and enters a product
-        at index >= j - 2d: no coefficient of index <= j of any product holds
-        two of them (2 (j - 2d) > j), and every row is affine in them.  The
-        rows that are not affine (E, G and H at step 3, the Einstein trace
-        row of D through step 4) all lie in the bootstrap.
-        """
-        d, keep = self.d, j - 2 * self.d
-        for key, cache in list(self._caches.items()):  # entries below keep are final
-            del cache[keep:]
-            for m, value in enumerate(cache):
-                if type(value) is not tuple:
-                    self._product(key, m)
-        assert all(type(self._coef(fn, o)) is tuple for fn in self.functions
-                   for o in range(j - d))
-        zeroed = {(fn, o): None for fn in self.functions for o in range(j - d, j + d)
-                  if type(self._coef(fn, o)) is not tuple}
-        # dN/dl = dL/dl R + L dR/dl over the split N = L R, to index d + dord
-        # of the leaf l = (fn, dord): it reads the halves' entries <= 2d, all
-        # final.  A top product, a term's that is no node's half, is not
-        # cached from here on, as nothing reads it again.
-        halves = {half for split in self._plan.values() for half in split}
-        tops = {key for key in self._keys if len(key) > 1 and key not in halves}
-        deriv = {(f,): {f: [(1, 1)] + [(0, 1)] * (d + f[1])}
-                 for f in {f for key in self._keys for f in key}}
-        for node in sorted({*self._plan, *self._keys} - deriv.keys(), key=len):
-            sums: dict = {}
-            for a, b in permutations(self._plan[node]):
-                low = [(v, *p) for v, p in enumerate(self._caches[b][:2 * d + 1]) if p[0]]
-                for leaf, series in deriv[a].items():
-                    terms = sums.setdefault(leaf, [[] for _ in series])
-                    for u, (x, dx) in enumerate(series):
-                        for v, y, dy in low if x else ():
-                            if u + v < len(terms):
-                                terms[u + v].append((x * y, dx * dy))
-            deriv[node] = {leaf: [pair_sum(t) if len(t) > 1 else t[0] if t else (0, 1)
-                                  for t in terms] for leaf, terms in sums.items()}
-        caches = self._caches = {node: Scaled.of(self._caches[node])
-                                 for node in deriv if node not in tops}
-        self._grow(lcm(*(cache.den for cache in caches.values())))
-        self._leaves = [(caches[node], *node[0]) for node in caches if len(node) == 1]
-        self._nodes = [(caches[node], *(caches[h] for h in self._plan[node]))
-                       for node in caches if len(node) > 1]  # in size order
-        patch = [(cache, leaf, series) for node, cache in caches.items()
-                 for leaf, series in deriv[node].items()]
-        self._patch_den = lcm(*(den for *_, series in patch for _, den in series))
-        for cache, leaf, series in patch:
-            self._patch[leaf].append(
-                (cache, [n * (self._patch_den // den) for n, den in series]))
-        for terms in self._terms:
-            lcd = lcm(*(cd for (_, cd), _ in terms))
-            self._row_terms.append((lcd, [
-                (cn * (lcd // cd), *((caches[h] for h in self._plan[key]) if key in tops
-                                     else (caches[key], None))) for (cn, cd), key in terms]))
-            acc = defaultdict(list)
-            for (cn, cd), key in terms:
-                for (fn, dord), series in deriv[key].items():
-                    for k, (n, den) in enumerate(series):
-                        if n:
-                            acc[fn, dord - k, dord].append((cn * n, cd * den))
-            lin = defaultdict(list)
-            for (fn, delta, dord), pairs in acc.items():
-                if (a := pair_sum(pairs))[0]:
-                    lin[fn, delta].append((dord, a))
-            self._lin.append({c: (den := lcm(*(a[1] for _, a in row)), tuple(
-                (dord, n * (den // ad)) for dord, (n, ad) in row)) for c, row in lin.items()})
-        self._zeroed = zeroed
-
-    def _grow(self, den: int) -> None:
-        """Put every cache over den, a multiple of their common denominator."""
-        self._den = den
-        for cache in self._caches.values():
-            cache.rescale(den)
-
-    def _sync(self, j: int) -> None:
-        """Patch every entry that read a now settled coefficient as 0 and
-        read the coefficients of order j + d as 0.  The common denominator
-        grows at most once; a patch is then one integer add per entry."""
-        fresh = []
-        for fn, o in list(self._zeroed):
-            if type(value := self._coef(fn, o)) is not tuple:
-                continue
-            del self._zeroed[fn, o]
-            if value[0]:
-                fresh.append((fn, o, *value))
-        den = lcm(self._den, *(vd * self._patch_den for *_, vd in fresh))
-        if den != self._den:
-            self._grow(den)
-        size = len(self._leaves[0][0].nums)  # the length of every cache
-        for fn, o, vn, vd in fresh:
-            for dord in range(max(o - size + 1, 0), self.d + 1):
-                f = vn * perm(o, dord) * (den // (vd * self._patch_den))
-                for cache, series in self._patch[fn, dord]:
-                    nums = cache.nums  # series is no shorter than this tail
-                    nums[o - dord:] = map(add, nums[o - dord:], map(mul, series, repeat(f)))
-        for fn in self.functions:
-            self._zeroed[fn, j + self.d] = None
-
-    def _extend(self, j: int) -> None:
-        """Extend every cache through index j, reading the unsettled
-        coefficients as 0: a new entry of a product is one integer dot of
-        its halves' numerators over den^2 and one exact division by den."""
-        for cache, fn, dord in self._leaves:
-            for o in range(len(cache.nums) + dord, j + dord + 1):
-                n, d = (0, 1) if (fn, o) in self._zeroed else self._coef(fn, o)
-                n = self._over_den(n * perm(o, dord), d)  # may replace cache.nums
-                cache.nums.append(n)
-        for cache, left, right in self._nodes:  # halves first
-            for m in range(len(cache.nums), j + 1):
-                n = sum(map(mul, left.nums[:m + 1], right.nums[m::-1]))
-                n = self._over_den(n, self._den * self._den)
-                cache.nums.append(n)
-
-    def _over_den(self, n: int, d: int) -> int:
-        """The numerator of n / d over the common denominator, which grows to
-        the lcm with the reduced d when that does not divide it."""
-        q, r = divmod(n * self._den, d)
-        if not r:
-            return q
-        self._grow(lcm(self._den, d // gcd(n, d)))
-        return n * self._den // d
-
-    # ---- elimination
-
-    def _resolve(self, pid: int, form: dict) -> None:
-        self.env[pid] = form
-        del self.live[pid]
-        sub = {pid: form}
-        for other, val in list(self.env.items()):
-            if pid in val:
-                self.env[other] = _subst(val, sub)
-
-    def _eliminate_row(self, ident_idx: int, j_row: int, j: int, log: dict) -> bool:
-        """Use an affine row to resolve one pending; defer a row not affine yet."""
-        row = self._row(ident_idx, j_row)
-        if row is None:
-            return False
-        if type(row) is tuple:
-            if row[0]:
+    def _solve(self, n: int, block: list, unknowns: list[str], log: dict,
+               final: bool) -> dict[str, Fraction]:
+        """Fraction-free Gauss-Jordan on integer rows [identity, c, b, s] of
+        c y = b (y = den^2 x_n, s the factor on the row's own equation),
+        pivoting on a cataloged slot last, else on the latest function.  A
+        final pass binds the free columns and checks the other rows; an
+        earlier one settles only the unknowns its rows determine."""
+        pivots: dict[int, list] = {}
+        for col in sorted(range(len(unknowns)), key=lambda c: (
+                (unknowns[c], n) in self.slots, -self.functions.index(unknowns[c]))):
+            row = next((row for row in block if row[1][col]
+                        and all(row is not p for p in pivots.values())), None)
+            if row is not None:
+                p = pivots[col] = row
+                for other in block:
+                    if other is not row and (e := other[1][col]):
+                        other[1] = [row[1][col] * u - e * v for u, v in zip(other[1], p[1])]
+                        other[2] = row[1][col] * other[2] - e * row[2]
+                        other[3] *= row[1][col]
+        values, scale = {}, self.den * self.den
+        for row in block if final else ():
+            if row[2] and all(row is not p for p in pivots.values()):
                 raise InconsistentSystem(
-                    f"no formal solution at order {j}: identity "
-                    f"{self.identities[ident_idx].label!r} reduces to "
-                    f"{Fraction(*row)} = 0"
-                )
-            return True
+                    f"no formal solution at order {n}: identity "
+                    f"{self.identities[row[0]].label!r} reduces to "
+                    f"{Fraction(-row[2], self._rows[row[0]][0] * row[3] * scale)} = 0")
+        for col, fn in enumerate(unknowns):
+            if final and col not in pivots:
+                values[fn] = Fraction(self.slot_binder(fn, n))
+                self.free_slots_found.append((fn, n))
+                log["free"].append(f"{fn}[{n}]")
+        for col, row in sorted(pivots.items()):
+            rest = [(c, unknowns[k]) for k, c in enumerate(row[1]) if c and k != col]
+            if final or not rest:
+                values[unknowns[col]] = Fraction(
+                    row[2] - scale * sum(c * values[fn] for c, fn in rest), scale * row[1][col])
+                log["resolved"].append(f"{unknowns[col]}[{n}]")
+                log["rank"] += 1
+        if final and len(pivots) < len(unknowns):
+            log["rank_drop"] = {"rank": len(pivots), "unknowns": len(unknowns)}
+        return values
 
-        # never pivot a declared slot coefficient while anything else is
-        # available, so the free direction is reported in the cataloged
-        # coordinates; otherwise resolve the freshest unknown first
-        def rank_key(p):
-            return (self.live[p] not in self.avoid_pivot, self.live[p][1], p)
-
-        pivot = max((p for p in row if p is not None), key=rank_key)
-        fn, order = self.live[pivot]
-        cp = row[pivot]
-        self._resolve(pivot, {p: -c / cp for p, c in row.items() if p != pivot})
-        log["rank"] += 1
-        log["resolved"].append(f"{fn}[{order}]")
-        return True
-
-    # ---- slot binding
-
-    def _bind(self, pid: int, log: dict) -> None:
-        fn, order = self.live[pid]
-        value = self.slot_binder(fn, order)
-        self.free_slots_found.append((fn, order))
-        log["free"].append(f"{fn}[{order}]")
-        self._resolve(pid, {None: Fraction(value)})
-
-    def _overdue(self, j: int) -> list[int]:
-        due = [p for p, (_, order) in self.live.items() if order <= j - self.d]
-        return sorted(due, key=lambda p: (self.live[p][1], self.live[p][0]))
-
-    # ---- main loop
+    def _order(self, n: int) -> None:
+        unknowns = [fn for fn in self.functions if self.x[fn][n] is None]
+        rows = [i for i, r in enumerate(self.shifts) if n + r >= 0]
+        log = {"order": n, "resolved": [], "free": [], "rank": 0}
+        while True:  # one pass, or at the first orders one per set of affine rows
+            if n >= self.lin_from or not unknowns:
+                lin, affine = self._lin, rows
+            else:
+                lin, affine = self._constants(self._deriv()), self._affine(n, rows, unknowns)
+            block = []
+            for i in affine:
+                den, consts = lin[i] if unknowns else (1, {})
+                c = [0] * len(unknowns)
+                for (fn, dord), num in consts.items():
+                    if fn in unknowns:
+                        c[unknowns.index(fn)] += perm(n, dord) * num * self._rows[i][0]
+                block.append([i, c, -den * self._value(i, n + self.shifts[i]), den])
+            values = self._solve(n, block, unknowns, log, affine == rows)
+            for fn, v in values.items():
+                self.x[fn][n] = v
+            if n >= self.lin_from:
+                self._patch_in(n, values)
+            elif values:
+                self._fill(max(n - self.d, 0), n + self.rmax)
+            unknowns = [fn for fn in unknowns if fn not in values]
+            if affine == rows:
+                break
+            if not values:
+                raise InconsistentSystem(f"no formal solution at order {n}: no row "
+                                         "is affine in the unknowns left")
+        if log["resolved"] or log["free"]:
+            self.diagnostics.append(log)
 
     def run(self) -> None:
-        deferred: list[tuple[int, int]] = []
-        for j in range(0, self.internal - self.d + 1):
-            if self._zeroed is None and j > 4 * self.d and not deferred:
-                self._go_linear(j)
-            log = {"order": j, "introduced": [], "resolved": [], "free": [],
-                   "rank": 0}
-            for o in range(j + self.d + 1):
-                log["introduced"].extend(self._introduce(o))
-            if self._zeroed is not None:
-                self._sync(j)
-                self._extend(j)
-            queue = deferred + [(i, j) for i in range(len(self.identities))]
-            deferred = self._drain(queue, j, log)
-            # a free slot is bound only when elimination has stalled, so a
-            # deferred row cannot still determine the coefficient
-            for pid in self._overdue(j):
-                if pid in self.live:
-                    self._bind(pid, log)
-                    deferred = self._drain(deferred, j, log)
-            self.diagnostics.append(log)
-        # no row is left deferred: every live pending has order > target + d,
-        # and a row of step j <= target + 2d has factor orders summing to at
-        # most j + 2d < 2 (target + d + 1) (target > 2d - 2), so it is affine
-
-    def _drain(self, queue: list[tuple[int, int]], j: int, log: dict
-               ) -> list[tuple[int, int]]:
-        """Eliminate the queued rows (identity, step) until none makes
-        progress; the rows not affine yet are returned."""
-        while True:
-            leftover = [item for item in queue if not self._eliminate_row(*item, j, log)]
-            if not leftover or len(leftover) == len(queue):
-                return leftover
-            queue = leftover
+        for n in range(self.last + 1):
+            if n + self.rmax >= 0:  # one new index, or 0..rmax at first
+                self._fill(len(self._leaves[0][0].nums), n + self.rmax)
+            if n == self.lin_from:
+                self._go_linear()
+            self._order(n)
 
     def series(self) -> dict[str, TruncSeries]:
-        out = {}
-        for fn in self.functions:
-            coef = []
-            for o in range(self.target + 1):
-                value = self._coef(fn, o)
-                if type(value) is not tuple:
-                    raise InconsistentSystem(
-                        f"coefficient {fn}[{o}] left undetermined"
-                    )
-                coef.append(Fraction(*value))
-            out[fn] = TruncSeries(coef)
-        return out
+        return {fn: TruncSeries(self.x[fn][:self.target + 1]) for fn in self.functions}
 
 
 # -- public solution object --------------------------------------------------------
@@ -554,9 +399,10 @@ def _run(case: OrbitCase, aw: AloffWallach, seeds: dict, order: int, binder,
     sysid = case.system(aw)
     if lam is not None:
         sysid = sysid.einstein()
-    avoid = frozenset((s.function, s.order) for s in case.slots)
-    stream = _Stream(polynomialize(sysid), sysid.functions, order, seeds, binder,
-                     lam, avoid)
+    shifts = case.shifts if lam is None else case.einstein.shifts
+    slots = frozenset((s.function, s.order) for s in case.slots)
+    stream = _Stream(polynomialize(sysid), sysid.functions, shifts, order, seeds, binder,
+                     lam, slots)
     stream.run()
     return stream
 
@@ -696,13 +542,11 @@ def _einstein_flag(case, spec, aw, params, lam, order):
             f"{fslot.param}"
         )
     # reference pass: f'''(0) is proportional to the cone datum f'(0); the
-    # slope only reads f[3], which the steps 0..2d of a staircase settle
+    # slope only reads f[3]: at target order 1 the blocks run through order
+    # 1 + d = 3
     ref = {**params, "f1": case.circle_rate(aw)}
     ref.pop(fslot.param, None)
-    ref3 = _einstein_stream(case, aw, ref, lam, 0)._coef("f", 3)
-    if type(ref3) is not tuple:
-        raise InconsistentSystem("the reference staircase left f[3] undetermined")
-    slope = 6 * Fraction(*ref3) / ref["f1"]
+    slope = 6 * _einstein_stream(case, aw, ref, lam, 1).x["f"][3] / ref["f1"]
     if slope == 0:
         raise ConstraintError(
             f"no formal solution: f'''(0) is forced to 0 at lambda={lam}"

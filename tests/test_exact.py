@@ -180,7 +180,7 @@ def scaled(s):
 
 class TestScaled:
     """Integer numerators over one common denominator: the product kernel of
-    the linear staircase and of the re-substitution check."""
+    the solver's caches and of the re-substitution check."""
 
     def check_product(self, a, b):
         prod = scaled(a) * scaled(b)

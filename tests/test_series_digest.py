@@ -51,21 +51,21 @@ SERIES_POINTS = {
 
 SERIES_DIGESTS = {
     "A": ("54a72234339c9300c75b60bbd6233447a94fb5d4e738f1c7da3e024d7c1c0497",
-          "6df7b23d0249a8899b160e641ba4236915d5d6c17b8670fd12fc6ba52ad11907"),
+          "dc349a982653b937727d7cf91bb2b7f8e29bbb792eaec58002525809e6236263"),
     "B": ("edf945f537e3f945fa251a98f3466f6c3a05465626ebcc548c811af796dffe61",
-          "6df7b23d0249a8899b160e641ba4236915d5d6c17b8670fd12fc6ba52ad11907"),
+          "dc349a982653b937727d7cf91bb2b7f8e29bbb792eaec58002525809e6236263"),
     "C": ("fd0e62323cb519bfb3aca53fd641eb6b2e056b4525e6d7e8de1a0f628bca42ac",
-          "f157c61a426b126909274e286a648073f43794dd10000acf9170c1f300befb9f"),
+          "4db4a127f8aa0a0a228482006419a58b0ff1716a59500910c7d5ab1c6e1366cd"),
     "D": ("c27b100d5fb1ba2072054f97926290f47b3e87c7a1f7665a36c83e4a2397e2ff",
-          "f10aff9a0e6126e1633dc456a841ac6a84e895bdcfbca393a879d83f979619c7"),
+          "32fe2367efe2697eeaaef896b153c93416e1080e787673cb3debefbc10ad9ddf"),
     "E": ("dd89f1ad8cdf5432e5db5b63d48000974002ae54068f04b7782cb1aa12af2488",
-          "eb752995483cd69453ca1720b5450f14364e154b873d2b3e3ea964ff6e6137f8"),
+          "7c833ed669267543b7c063ab1b8b6369c4984fe19075521764ef886745c6a95a"),
     "F": ("f4e99216b0fe2481fae8d624c28fcf756c6eb53109b33f18557ade21ed949de2",
-          "2edd0fb8f4010ae257d315b416cb7f9aed3dbe1cdd456bed88b6961a70430a1f"),
+          "7d89c77a0eb5350c0848dcdcc5ee083f2f2a30ad768f88b3a9879c499c48b2a9"),
     "G": ("0b2c5de4346b596bc89c384e0eed8c61004381dd8b0743a777388ba168b64c32",
-          "4ecf7626cf2c84c30e94fede9bbafc92429f85d2832b9239483db00c71ec8330"),
+          "b1f8d332ffe5b704770a842bd7a8734945f26de04faf0b9b2c2dfb13acc4366d"),
     "H": ("7ee825bd698fef537460f6fc85f27979706aa535c5e229cff522584c04aa55a2",
-          "87a1723eeaef9277a6f3e30d71d3bb764a0cc32e031d35caf2c3fc69335bbf6d"),
+          "838449502e93a52803af297ae04815e44bc7e208e647256f973fefe486364e5f"),
 }
 
 
@@ -85,13 +85,13 @@ EINSTEIN_POINTS = {
 
 EINSTEIN_DIGESTS = {
     "A/0": ("34f597b838a34cb8423eb08a5cf501acfaff6268f5ea64a073d6d2b222584fa7",
-            "3dcfd8fb0c4a0f0be572f656f826dc2e3e2c368444e69da8734231bfa739bc01"),
+            "21cd439d341eda400bf0e382821ea6ab19c25a28fdc0f055fd2a0db71c2737b3"),
     "A/1": ("118ee36919798bc3edbc812418354769fcbba71bd57b1a51638f9dd0e044050d",
-            "3dcfd8fb0c4a0f0be572f656f826dc2e3e2c368444e69da8734231bfa739bc01"),
+            "21cd439d341eda400bf0e382821ea6ab19c25a28fdc0f055fd2a0db71c2737b3"),
     "C/1": ("8b7fd9227241f6165769bb5ae731660a19e6138e69d827e2b78473b4207acdce",
-            "e5a2128257fe354e557457318d74c7a245ae51fdca7ed9c25fb757c7c480cd42"),
+            "535b3386aab0bc48c8a6c9303456f7357184db883d02f7b6b24df54e16624e00"),
     "D/1": ("92f18ff1d7409344838b6db042bf400d567592876f17c43da4c0b474b53183c8",
-            "4dddf8c0237cbd9656482996c139230e6b738a0848a755368d9827a36f9a3df7"),
+            "06a5de7787241dbe70bdbfcc59314e01d31aeb2dfcecfee4862e1ec625fa1e35"),
 }
 
 
@@ -104,9 +104,9 @@ def test_einstein_digest(label):
 
 VANISHING_DIGESTS = {
     (2, 1): ("4d231ed117eb756654b91e6f41541bc0fbe193233c723d05c5ffcb0786b8903a",
-             "3b3461e2c1dd1172b69da3e15384ca9d9bb1b44e19e70eb543c90541ed452ef5"),
+             "32731a99b3f37461227d098e1e3272d93fe38f4e94d7b43c66f1360606a22cd0"),
     (1, 0): ("4d231ed117eb756654b91e6f41541bc0fbe193233c723d05c5ffcb0786b8903a",
-             "3b3461e2c1dd1172b69da3e15384ca9d9bb1b44e19e70eb543c90541ed452ef5"),
+             "32731a99b3f37461227d098e1e3272d93fe38f4e94d7b43c66f1360606a22cd0"),
 }
 
 

@@ -1,16 +1,16 @@
 from fractions import Fraction as F
-from math import gcd, perm
+from math import perm
 
 import pytest
-import sympy as sp
 
 from awflow import polyident, solver
+from awflow.analysis import cross_check_free_params
 from awflow.cases import CASES, ConstraintError, MissingSlotValue, get_case
 from awflow.exact import TruncSeries
-from awflow.polyident import polynomialize
+from awflow.polyident import eval_identities, polynomialize
 from awflow.reptheory import AloffWallach
-from awflow.solver import (InconsistentSystem, ResonantDatum, SeriesSolution, _dot,
-                           _fresh, check_smoothness, einstein_series, free_slots,
+from awflow.solver import (InconsistentSystem, ResonantDatum, SeriesSolution,
+                           check_smoothness, einstein_series, free_slots, slot_key,
                            solve_series)
 from awflow.systems import SystemId
 
@@ -344,11 +344,11 @@ class TestEinstein:
         ("B", {"a0": 1, "b0": 2, "c0": 3, "f3": 1}, {}),
         ("C", {"a0": 5, "b0": 3, "c0": 4, "f3": 1}, {}),
     ])
-    def test_reference_staircase_stops_at_step_2d(self, monkeypatch, cid, params, kw):
-        # the reference only reads f[3], which steps 0..2d (d = 2) settle
+    def test_reference_pass_solves_no_order_above_3(self, monkeypatch, cid, params, kw):
+        # the reference only reads f[3]; orders 0 and 1 are seeded
         sol, (reference, main) = _streams(
             monkeypatch, lambda: einstein_series(cid, params, 1, order=10, **kw))
-        assert [log["order"] for log in reference.diagnostics] == list(range(5))
+        assert [log["order"] for log in reference.diagnostics] == [2, 3]
         assert main.diagnostics == sol.diagnostics
         assert 6 * sol.functions["f"].coef[3] == 1
 
@@ -402,6 +402,11 @@ class TestEinsteinResonance:
         assert sol.order == 14
         assert sol.verify_exact()
 
+    def test_resonance_past_the_requested_order(self):
+        # the blocks run through order + d = 12 for the requested order 10
+        with pytest.raises(ResonantDatum, match=r"order n = 12: .* a1\[12\] free"):
+            einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "f1": 1}, 1, order=10)
+
     @pytest.mark.parametrize("f1", [5, 6])
     def test_constant_row_stays_inconsistent(self, f1):
         with pytest.raises(InconsistentSystem, match="reduces to"):
@@ -426,92 +431,17 @@ class TestEinsteinCrossCheck:
             assert res.is_zero(), (cid, ident.label)
 
 
-def _to_sympy(value):
-    """A staircase value, a reduced pair or an affine form, as a sympy expression."""
-    if type(value) is tuple:
-        return sp.Rational(*value)
-    return sum((sp.Rational(c.numerator, c.denominator)
-                * (sp.Integer(1) if p is None else sp.Symbol(f"x{p}"))
-                for p, c in value.items()), sp.Integer(0))
-
-
-def _lin(const=0, **coeffs):
-    """Affine form: _lin(1, x2=3) is 3 x2 + 1."""
-    form = {int(name[1:]): F(c) for name, c in coeffs.items()}
-    if const:
-        form[None] = F(const)
-    return form
-
-
-class TestSubstitution:
-    """_fresh on affine forms against a sympy expansion of the same substitution."""
-
-    def check(self, form, env):
-        got = _fresh(form, env)
-        expect = sp.expand(_to_sympy(form).subs(
-            {sp.Symbol(f"x{p}"): _to_sympy(v) for p, v in env.items()},
-            simultaneous=True))
-        assert sp.expand(_to_sympy(got) - expect) == 0
-        if type(got) is tuple:
-            assert got[1] > 0 and gcd(*got) == 1
-        else:
-            assert any(p is not None for p in got)
-            assert all(c != 0 and type(c) is F for c in got.values())
-        return got
-
-    def test_pending_missing_from_env(self):
-        form = _lin(F(1, 7), x0=2, x3=-4)
-        got = self.check(form, {0: _lin(-1, x5=F(1, 3))})
-        assert set(got) == {None, 3, 5}
-        untouched = _lin(x3=2)
-        assert _fresh(untouched, {0: _lin(1)}) is untouched
-
-    def test_cancellation_leaves_no_zero(self):
-        # x0 + x1 - 2 with x0 -> 2 - x1 vanishes; x0 + x1 with x0 -> x2 - x1
-        # keeps only x2
-        assert self.check(_lin(-2, x0=1, x1=1), {0: _lin(2, x1=-1)}) == (0, 1)
-        assert self.check(_lin(x0=1, x1=1), {0: _lin(x1=-1, x2=1)}) == {2: F(1)}
-
-    def test_fully_resolved_value_settles_to_reduced_pair(self):
-        # 2 x0 + x1 / 2 - 1/3 at x0 = 3, x1 = 1/2
-        value = self.check(_lin(F(-1, 3), x0=2, x1=F(1, 2)),
-                           {0: _lin(3), 1: _lin(F(1, 2))})
-        assert value == (71, 12)
-
-
-class TestDot:
-    """_dot sums products of staircase values; None marks a sum not affine yet."""
-
-    def test_two_live_factors_give_none(self):
-        assert _dot([(_lin(x0=1), _lin(1, x1=1))]) is None
-        assert _dot([((1, 2), (3, 1)), ((2, 1), None)]) is None
-
-    def test_zero_settled_factor_times_none_contributes_nothing(self):
-        assert _dot([((0, 1), None), ((1, 2), (4, 3))]) == (2, 3)
-        got = _dot([(None, (0, 1)), ((2, 1), _lin(1, x0=3)), ((1, 3), (3, 1))])
-        assert got == {0: F(6), None: F(3)}
-
-    def test_cancelled_live_terms_settle(self):
-        assert _dot([((1, 1), _lin(1, x0=2)), ((-1, 1), _lin(x0=2))]) == (1, 1)
-
-
 def _streams(monkeypatch, solve):
-    """Run `solve` and return its solution with every staircase it ran."""
+    """Run `solve` and return its solution with every stream `_run` built."""
     streams = []
-    run = solver._Stream.run
+    run = solver._run
 
-    def recording(self):
-        run(self)
-        streams.append(self)
+    def recording(*args, **kwargs):
+        streams.append(run(*args, **kwargs))
+        return streams[-1]
 
-    monkeypatch.setattr(solver._Stream, "run", recording)
+    monkeypatch.setattr(solver, "_run", recording)
     return solve(), streams
-
-
-def _final_stream(monkeypatch, solve):
-    """Run `solve` and return the last staircase it ran, with its solution."""
-    sol, streams = _streams(monkeypatch, solve)
-    return sol, streams[-1]
 
 
 _HOLONOMY_28 = [
@@ -523,8 +453,9 @@ _A_21 = {"a0": F(3, 2), "b0": 1, "c0": F(2, 3)}
 
 
 class TestLinearPhase:
-    """After the bootstrap the product caches hold settled pairs that read the
-    unsettled coefficients as 0 and are patched as these settle."""
+    """From order 2d + max r + 1 on the product caches read the unknown
+    coefficients as 0 and are patched as these are solved; at the end they
+    hold the products of the final series."""
 
     @pytest.mark.parametrize("solve", [
         *(lambda c=c, p=p, kw=kw: solve_series(c, p, order=28, **kw)
@@ -538,23 +469,83 @@ class TestLinearPhase:
             "einstein-D"])
     def test_cache_entries_equal_the_products_of_the_final_series(self, monkeypatch,
                                                                    solve):
-        sol, stream = _final_stream(monkeypatch, solve)
-        assert stream._zeroed is not None  # the linear phase ran
+        sol, streams = _streams(monkeypatch, solve)
+        stream = streams[-1]
+        assert stream.lin_from <= stream.last  # the patched orders ran
         base = sol.order
         prods = {((fn, d),): [(c.numerator * perm(i + d, d), c.denominator)
                               for i, c in enumerate(sol.functions[fn].coef[d:base + 1])]
-                 for key in stream._keys for fn, d in key}
+                 for key in stream._caches for fn, d in key}
         for key, cache in stream._caches.items():
             want = polyident._product(prods, stream._plan, key)
-            assert all(type(v) is tuple for v in cache), key
-            assert [F(*v) for v in cache[:len(want)]] == [F(*v) for v in want], key
+            assert [F(n, stream.den) for n in cache.nums[:len(want)]] == \
+                [F(*v) for v in want], key
 
-    def test_declared_slots_are_bound_within_the_bootstrap(self):
-        # the switch at step 4d + 1 needs every declared slot at order <= 3d,
-        # and no holonomy slot where the Einstein staircase avoids pivots
-        for case in CASES.values():
-            aw = case.resolve_aw(2, 1) if case.fixed_kl is None else case.resolve_aw()
-            d = max(dord for ident in polynomialize(case.system(aw))
-                    for t in ident.terms for _, dord in t.factors)
-            assert all(s.order <= 3 * d for s in case.slots), case.id
-            assert case.einstein is None or not case.slots, case.id
+
+def _final_blocks(monkeypatch, solve):
+    """Run `solve`; return its solution, its last stream, and for each order
+    the unknowns of that stream's final pass with each identity's row of
+    M(n) and r(n), as `_Stream._solve` received them."""
+    blocks, record = [], solver._Stream._solve
+
+    def recording(self, n, block, unknowns, log, final):
+        if final:
+            d2 = self.den * self.den
+            blocks.append((self, n, list(unknowns), {
+                i: ({fn: F(c, self._rows[i][0] * s) for fn, c in zip(unknowns, cs)},
+                    F(-b, self._rows[i][0] * s * d2)) for i, cs, b, s in block}))
+        return record(self, n, [[i, list(c), b, s] for i, c, b, s in block], unknowns,
+                      log, final)
+
+    monkeypatch.setattr(solver._Stream, "_solve", recording)
+    sol, streams = _streams(monkeypatch, solve)
+    return sol, streams[-1], [(n, u, rows) for s, n, u, rows in blocks if s is streams[-1]]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_series("C", {"a0": 5, "b0": 3, "c0": 4}, order=10),
+    lambda: solve_series("E", {"b0": F(2, 3), "q": F(1, 2)}, order=8, k=2, l=1),
+    lambda: solve_series("G", {"a0": F(5, 3), "q": F(1, 2)}, order=8),
+    lambda: solve_series("H", {"a0": F(2, 5), "q": F(1, 2)}, order=8),
+    lambda: einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "f1": F(5, 2)}, -1, order=8),
+    lambda: einstein_series("D", {"b0": F(3, 2), "f0": F(2, 3)}, 1, order=8),
+], ids=["C", "E", "G", "H", "einstein-C", "einstein-D"])
+def test_block_rows_are_the_identity_coefficients(monkeypatch, solve):
+    """Row i of order n is coefficient n + r_i of identity i at the final
+    series with the pass's unknowns of order n set to 0, and to 0 plus a unit
+    in one function, and every coefficient above n set to 0: it reads no
+    higher order and is affine in x_n, with r(n) and M(n) as solved."""
+    sol, stream, blocks = _final_blocks(monkeypatch, solve)
+    idents = polynomialize(sol.system())
+    assert [n for n, *_ in blocks] == sorted({n for n, *_ in blocks})  # one final pass each
+    for n, unknowns, rows in blocks:
+        top = n + stream.rmax + stream.d
+        for unit in [None, *unknowns]:
+            funcs = {fn: TruncSeries([stream.x[fn][o] if o < n or (
+                o == n and fn not in unknowns) else int(o == n and fn == unit)
+                for o in range(top + 1)]) for fn in stream.functions}
+            res = eval_identities(idents, funcs, sol.einstein_lambda)
+            for i, (m, r) in rows.items():
+                assert res[i].coef[n + stream.shifts[i]] == r + m.get(unit, 0), (n, unit, i)
+
+
+@pytest.mark.parametrize("cid", sorted(CASES))
+def test_rank_drops_are_the_cataloged_slots(cid):
+    """M(n) drops rank exactly at the cataloged slots, by their number, and
+    the census agrees with the rep-theory counts of the cross-check."""
+    case = get_case(cid)
+    kw = {"k": 2, "l": 1} if case.fixed_kl is None else {}
+    params = {**{name: 1 for name in case.required_params},
+              **{s.param: 0 for s in case.slots}}
+    sol = solve_series(cid, params, order=10, **kw)
+    slots = sorted(((s.function, s.order) for s in case.slots), key=slot_key)
+    drops = [log for log in sol.diagnostics if "rank_drop" in log]
+    assert sorted(((f[:f.index("[")], log["order"]) for log in drops for f in log["free"]),
+                  key=slot_key) == slots == free_slots(cid, **kw)
+    for log in drops:
+        lost = log["rank_drop"]["unknowns"] - log["rank_drop"]["rank"]
+        assert lost == len(log["free"]) == sum(o == log["order"] for _, o in slots)
+    if case.vertical is not None:
+        report = cross_check_free_params(cid, **kw)
+        assert report["spin7_slots"] == slots
+        assert report["match"] or not report["assumption_satisfied"]

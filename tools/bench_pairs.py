@@ -8,12 +8,19 @@ The base revision is exported with `git archive` into a temporary directory;
 the change is the working tree itself.  Each pair runs `perfbench/run.py` once
 on each side, untraced, at seed 1 and the `run_seconds` of BENCHMARK.json, with
 the order swapped on every other pair so a slow stretch of the machine does not
-always hit the same side.  For every end-to-end metric of BENCHMARK.json the
-file records both sides' medians and quartiles, and in how many pairs the
-change was better.  Re-running with the same --pr adds the new sets to the
-file: a workload measured again is stored under the first free key of
-`<workload>_rerun`, `<workload>_rerun2`, ..., so no earlier set is lost.  Each
-entry records the base, seed and run length it was measured with.
+always hit the same side.  Each side of a pair also runs a child process in
+its checkout that builds the same operation list, runs one warm round, then
+times at least `CPU_ROUNDS` rounds and `CPU_SECONDS` of run time in process
+CPU time, `op.run` and `op.check` apart, calling `check` as perfbench/run.py
+does.  Its medians, `cpu_run_s` and
+`cpu_check_s`, move far less than wall time with the load from other
+processes on the host.  For every end-to-end metric of BENCHMARK.json, and
+under `cpu` for the two CPU times, the file records both sides' medians and
+quartiles, and in how many pairs the change was better.  Re-running with the
+same --pr adds the new sets to the file: a workload measured again is stored
+under the first free key of `<workload>_rerun`, `<workload>_rerun2`, ..., so
+no earlier set is lost.  Each entry records the base, seed and run length it
+was measured with.
 """
 from __future__ import annotations
 
@@ -29,6 +36,36 @@ from pathlib import Path
 
 ROOT = Path.cwd()
 SEED = 1
+CPU_ROUNDS, CPU_SECONDS = 10, 2.0  # a round of `tables` takes a few ms
+CPU_METRICS = [{"name": "cpu_run_s", "unit": "s", "better": "lower"},
+               {"name": "cpu_check_s", "unit": "s", "better": "lower"}]
+# run in the checkout: argv is the workload, the seed, and the least number of
+# rounds and of seconds of run time to time
+CPU_CHILD = """
+import json, statistics, sys, time
+sys.path[:0] = ["src", "perfbench"]
+from workloads import WORKLOADS
+ops = WORKLOADS[sys.argv[1]](int(sys.argv[2]))
+run_s, check_s, warm = [], [], True
+while warm or len(run_s) < int(sys.argv[3]) or sum(run_s) < float(sys.argv[4]):
+    results, spent_run, spent_check = {}, 0.0, 0.0
+    for op in ops:
+        t0 = time.process_time()
+        results[op.label] = op.run()
+        t1 = time.process_time()
+        if all(n in results for n in op.needs):
+            errs = op.check(results[op.label], {n: results[n] for n in op.needs})
+            if errs:
+                sys.exit(f"{op.label}: {errs[0]}")
+        spent_run += t1 - t0
+        spent_check += time.process_time() - t1
+    if not warm:
+        run_s.append(spent_run)
+        check_s.append(spent_check)
+    warm = False
+print(json.dumps({"cpu_run_s": statistics.median(run_s),
+                  "cpu_check_s": statistics.median(check_s)}))
+"""
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -65,6 +102,18 @@ def run_once(checkout: Path, workload: str, seconds: float) -> dict:
     return {"correct": res["correct"], "attempted": res["attempted"],
             "failed": res["failed"],
             **{k: v["value"] for k, v in res["metrics"].items()}}
+
+
+def cpu_once(checkout: Path, workload: str) -> dict:
+    """The CPU time per round of `op.run` and of `op.check`, medians over the
+    rounds after a warm one, in a child process in the checkout."""
+    cmd = [sys.executable, "-c", CPU_CHILD, workload, str(SEED), str(CPU_ROUNDS),
+           str(CPU_SECONDS)]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"bench_pairs: CPU rounds of {workload} failed in {checkout}:\n"
+                 f"{out.stderr}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
@@ -111,15 +160,19 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, seconds))
+                    runs[side].append({**run_once(sides[side], workload, seconds),
+                                       **cpu_once(sides[side], workload)})
                 print(f"{workload} pair {i + 1}: " + ", ".join(
-                    f"{s} {runs[s][-1]['ops_per_s']:.3f}" for s in ("parent", "change")),
+                    f"{s} {runs[s][-1]['ops_per_s']:.3f} ops/s, "
+                    f"{runs[s][-1]['cpu_run_s']:.4f} s run CPU" for s in ("parent", "change")),
                     file=sys.stderr)
             merge(doc, workload, {
                 "base": sha, "seed": SEED, "seconds": seconds, "pairs": args.pairs,
                 "all_correct": all(r["correct"] and r["failed"] == 0
                                    for side in runs.values() for r in side),
                 "metrics": summarize(runs, bench["end_to_end"]),
+                "cpu": {"rounds": CPU_ROUNDS, "seconds": CPU_SECONDS,
+                        **summarize(runs, CPU_METRICS)},
                 "runs": runs,
             })
             path.write_text(json.dumps(doc, indent=1) + "\n")
