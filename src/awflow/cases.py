@@ -336,6 +336,7 @@ _register(OrbitCase(
     description="flag singular orbit, order-two quotient of the (1,1) principal "
                 "orbit; unique solution from (a0, b0, c0)",
     shifts=(0, 0, -1, -1, -1),
+    first_order_seed=lambda aw, p: {"b": _0, "c": _0, "f": Fraction(12)},
     vertical=VerticalCount(gauge_ignored=1, theorem=1),
 ))
 

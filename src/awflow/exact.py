@@ -65,17 +65,11 @@ def pair_sum(terms) -> tuple[int, int]:
     return num // g, den // g
 
 
-def ratio_sum(terms) -> Fraction:
-    """`pair_sum` as a Fraction."""
-    return Fraction(*pair_sum(terms))
-
-
 class Scaled:
     """Rationals as integer numerators over one common denominator.
 
     Entry m is nums[m] / den, and den is a multiple of every entry's reduced
-    denominator.  Indexing and iteration give the pairs (nums[m], den), so a
-    `Scaled` reads as a list of integer ratios.
+    denominator.
     """
 
     __slots__ = ("nums", "den")
@@ -92,18 +86,6 @@ class Scaled:
         values = list(values)
         den = lcm(*(d for _, d in values))
         return cls([n * (den // d) for n, d in values], den)
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __iter__(self):
-        den = self.den
-        return ((n, den) for n in self.nums)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [(n, self.den) for n in self.nums[index]]
-        return self.nums[index], self.den
 
     def __mul__(self, other: "Scaled") -> "Scaled":
         """The product truncated to the shorter operand, divided by its
@@ -195,8 +177,8 @@ class TruncSeries:
             b = [(c.numerator, c.denominator) for c in other.coef[n::-1]]
             # coefficient k pairs a[u] with b[k - u], which sits at n - k + u
             return TruncSeries([
-                ratio_sum((x * y, dx * dy)
-                          for (x, dx), (y, dy) in zip(a[:k + 1], b[n - k:]) if x and y)
+                Fraction(*pair_sum((x * y, dx * dy) for (x, dx), (y, dy)
+                                   in zip(a[:k + 1], b[n - k:]) if x and y))
                 for k in range(n + 1)])
         q = rat(other)
         return TruncSeries([c * q for c in self.coef])

@@ -315,15 +315,17 @@ def _e2_identities() -> list[PolyIdentity]:
     return [ia1, ia2, ib, ic, i_f, tr]
 
 
-def polynomialize(sys: SystemId) -> list[PolyIdentity]:
-    """The cleared polynomial identities of a system, one per equation."""
+@cache
+def polynomialize(sys: SystemId) -> tuple[PolyIdentity, ...]:
+    """The cleared polynomial identities of a system, one per equation, built
+    once per system."""
     if sys.kind == "S1":
-        return _s1_identities(sys.aw.k, sys.aw.l)
+        return tuple(_s1_identities(sys.aw.k, sys.aw.l))
     if sys.kind == "S2":
-        return _s2_identities()
+        return tuple(_s2_identities())
     if sys.kind == "E1":
-        return _e1_identities(sys.aw.k, sys.aw.l)
-    return _e2_identities()
+        return tuple(_e1_identities(sys.aw.k, sys.aw.l))
+    return tuple(_e2_identities())
 
 
 # -- compiled evaluation -----------------------------------------------------------

@@ -46,14 +46,14 @@ class _Stream:
     coefficients not known yet as 0.  Row i of order n is its value at
     x_n = 0 plus M(n)_i x_n: M(n)_i,fn sums perm(n, dord) times entry
     r_i + dord of dN/dl over dord, N the terms of identity i, l the leaf
-    (fn, dord).  From order 2d + max r + 1 on that entry is settled: M(n)
-    comes from constants built once, and dN/dl patches the entries that read
-    x_n as 0.  Before, dN/dl is taken at the current entries, which are
-    recomputed once x_n is known; a row that can multiply two unknowns
-    (holonomy C at n = 1) waits for a later pass of its order.
+    (fn, dord).  From order 2d + max r + 1 on that entry is settled and no
+    entry multiplies two coefficients of order n: M(n) comes from constants
+    built once, and dN/dl patches the entries that read x_n as 0.  Before,
+    dN/dl is taken at the current entries, recomputed once x_n is known, and
+    every row must then vanish: one that does not was not affine in x_n.
     """
 
-    def __init__(self, identities: list[PolyIdentity], functions: tuple[str, ...],
+    def __init__(self, identities: tuple[PolyIdentity, ...], functions: tuple[str, ...],
                  shifts: tuple[int, ...], target_order: int,
                  seeds: dict[tuple[str, int], Fraction], slot_binder,
                  lam: Fraction | None, slots: frozenset[tuple[str, int]]):
@@ -213,29 +213,12 @@ class _Stream:
                 top += w * sum(map(mul, a.nums[:j + 1], b.nums[j::-1]))
         return cached * self.den + top
 
-    def _affine(self, n: int, rows: list[int], unknowns: list[str]) -> list[int]:
-        """The rows of order n in which no term can multiply two unknowns,
-        judged from each factor's first entry not known to be zero."""
-        low = {(fn, dord): next(o for o in range(dord, len(xs)) if xs[o] is None or xs[o])
-               - dord for fn, xs in self.x.items() for dord in range(self.d + 1)}
-        out = []
-        for i in rows:
-            j = n + self.shifts[i]
-            for _, key in self._terms[i]:
-                spare = sorted(n - f[1] - low[f] for f in key if f[0] in unknowns and n >= f[1])
-                if spare[1:] and sum(map(low.get, key)) + spare[0] + spare[1] <= j:
-                    break
-            else:
-                out.append(i)
-        return out
-
-    def _solve(self, n: int, block: list, unknowns: list[str], log: dict,
-               final: bool) -> dict[str, Fraction]:
+    def _solve(self, n: int, block: list, unknowns: list[str],
+               log: dict) -> dict[str, Fraction]:
         """Fraction-free Gauss-Jordan on integer rows [identity, c, b, s] of
         c y = b (y = den^2 x_n, s the factor on the row's own equation),
-        pivoting on a cataloged slot last, else on the latest function.  A
-        final pass binds the free columns and checks the other rows; an
-        earlier one settles only the unknowns its rows determine."""
+        pivoting on a cataloged slot last, else on the latest function; the
+        free columns are bound and the other rows checked."""
         pivots: dict[int, list] = {}
         for col in sorted(range(len(unknowns)), key=lambda c: (
                 (unknowns[c], n) in self.slots, -self.functions.index(unknowns[c]))):
@@ -249,59 +232,55 @@ class _Stream:
                         other[2] = row[1][col] * other[2] - e * row[2]
                         other[3] *= row[1][col]
         values, scale = {}, self.den * self.den
-        for row in block if final else ():
+        for row in block:
             if row[2] and all(row is not p for p in pivots.values()):
                 raise InconsistentSystem(
                     f"no formal solution at order {n}: identity "
                     f"{self.identities[row[0]].label!r} reduces to "
                     f"{Fraction(-row[2], self._rows[row[0]][0] * row[3] * scale)} = 0")
         for col, fn in enumerate(unknowns):
-            if final and col not in pivots:
+            if col not in pivots:
                 values[fn] = Fraction(self.slot_binder(fn, n))
                 self.free_slots_found.append((fn, n))
                 log["free"].append(f"{fn}[{n}]")
         for col, row in sorted(pivots.items()):
             rest = [(c, unknowns[k]) for k, c in enumerate(row[1]) if c and k != col]
-            if final or not rest:
-                values[unknowns[col]] = Fraction(
-                    row[2] - scale * sum(c * values[fn] for c, fn in rest), scale * row[1][col])
-                log["resolved"].append(f"{unknowns[col]}[{n}]")
-                log["rank"] += 1
-        if final and len(pivots) < len(unknowns):
+            values[unknowns[col]] = Fraction(
+                row[2] - scale * sum(c * values[fn] for c, fn in rest), scale * row[1][col])
+            log["resolved"].append(f"{unknowns[col]}[{n}]")
+        log["rank"] = len(pivots)
+        if len(pivots) < len(unknowns):
             log["rank_drop"] = {"rank": len(pivots), "unknowns": len(unknowns)}
         return values
 
     def _order(self, n: int) -> None:
         unknowns = [fn for fn in self.functions if self.x[fn][n] is None]
         rows = [i for i, r in enumerate(self.shifts) if n + r >= 0]
-        log = {"order": n, "resolved": [], "free": [], "rank": 0}
-        while True:  # one pass, or at the first orders one per set of affine rows
-            if n >= self.lin_from or not unknowns:
-                lin, affine = self._lin, rows
-            else:
-                lin, affine = self._constants(self._deriv()), self._affine(n, rows, unknowns)
-            block = []
-            for i in affine:
-                den, consts = lin[i] if unknowns else (1, {})
-                c = [0] * len(unknowns)
-                for (fn, dord), num in consts.items():
-                    if fn in unknowns:
-                        c[unknowns.index(fn)] += perm(n, dord) * num * self._rows[i][0]
-                block.append([i, c, -den * self._value(i, n + self.shifts[i]), den])
-            values = self._solve(n, block, unknowns, log, affine == rows)
-            for fn, v in values.items():
-                self.x[fn][n] = v
-            if n >= self.lin_from:
-                self._patch_in(n, values)
-            elif values:
-                self._fill(max(n - self.d, 0), n + self.rmax)
-            unknowns = [fn for fn in unknowns if fn not in values]
-            if affine == rows:
-                break
-            if not values:
-                raise InconsistentSystem(f"no formal solution at order {n}: no row "
-                                         "is affine in the unknowns left")
-        if log["resolved"] or log["free"]:
+        lin = (self._lin if n >= self.lin_from or not unknowns
+               else self._constants(self._deriv()))
+        block = []
+        for i in rows:
+            den, consts = lin[i] if unknowns else (1, {})
+            c = [0] * len(unknowns)
+            for (fn, dord), num in consts.items():
+                if fn in unknowns:
+                    c[unknowns.index(fn)] += perm(n, dord) * num * self._rows[i][0]
+            block.append([i, c, -den * self._value(i, n + self.shifts[i]), den])
+        log = {"order": n, "resolved": [], "free": []}
+        values = self._solve(n, block, unknowns, log)
+        for fn, v in values.items():
+            self.x[fn][n] = v
+        if n >= self.lin_from:
+            self._patch_in(n, values)
+        elif values:
+            self._fill(max(n - self.d, 0), n + self.rmax)
+            for i in rows:
+                if self._value(i, n + self.shifts[i]):
+                    raise InconsistentSystem(
+                        f"no formal solution at order {n}: identity "
+                        f"{self.identities[i].label!r} is not affine in the "
+                        f"coefficients of order {n}")
+        if values:
             self.diagnostics.append(log)
 
     def run(self) -> None:

@@ -36,9 +36,11 @@ POINTS = [
     ("B", None, {"a0": 2, "b0": "1/2", "c0": -3},
      {"a": "2", "b": "1/2", "c": "-3", "f": "0"}, {}, {}, {}),
     ("C", None, {"a0": 1, "b0": 1, "c0": 1},
-     {"a1": "1", "a2": "-1", "b": "1", "c": "1", "f": "0"}, {}, {"f": "12"}, {}),
+     {"a1": "1", "a2": "-1", "b": "1", "c": "1", "f": "0"},
+     {"b": "0", "c": "0", "f": "12"}, {"f": "12"}, {}),
     ("C", None, {"a0": 5, "b0": 3, "c0": 4},
-     {"a1": "5", "a2": "-5", "b": "3", "c": "4", "f": "0"}, {}, {"f": "12"}, {}),
+     {"a1": "5", "a2": "-5", "b": "3", "c": "4", "f": "0"},
+     {"b": "0", "c": "0", "f": "12"}, {"f": "12"}, {}),
     ("D", None, {"b0": 1, "f0": 1},
      {"a": "0", "b": "1", "c": "1", "f": "1"},
      {"a": "2", "b": "-1/6", "c": "1/6", "f": "0"}, {"a": "2"}, {}),

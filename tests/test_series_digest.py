@@ -55,7 +55,7 @@ SERIES_DIGESTS = {
     "B": ("edf945f537e3f945fa251a98f3466f6c3a05465626ebcc548c811af796dffe61",
           "dc349a982653b937727d7cf91bb2b7f8e29bbb792eaec58002525809e6236263"),
     "C": ("fd0e62323cb519bfb3aca53fd641eb6b2e056b4525e6d7e8de1a0f628bca42ac",
-          "4db4a127f8aa0a0a228482006419a58b0ff1716a59500910c7d5ab1c6e1366cd"),
+          "6df7d69edb8465ee80ff89e89531c508171fb2c644f917366c17d9c972beb399"),
     "D": ("c27b100d5fb1ba2072054f97926290f47b3e87c7a1f7665a36c83e4a2397e2ff",
           "32fe2367efe2697eeaaef896b153c93416e1080e787673cb3debefbc10ad9ddf"),
     "E": ("dd89f1ad8cdf5432e5db5b63d48000974002ae54068f04b7782cb1aa12af2488",

@@ -2,11 +2,13 @@ from fractions import Fraction as F
 from math import perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awflow import polyident, solver
 from awflow.analysis import cross_check_free_params
 from awflow.cases import CASES, ConstraintError, MissingSlotValue, get_case
-from awflow.exact import TruncSeries
+from awflow.exact import Scaled, TruncSeries
 from awflow.polyident import eval_identities, polynomialize
 from awflow.reptheory import AloffWallach
 from awflow.solver import (InconsistentSystem, ResonantDatum, SeriesSolution,
@@ -214,6 +216,39 @@ class TestSolverContracts:
         assert back.bound_params == sol.bound_params
         assert back.free_slots_found == sol.free_slots_found
         assert back.verify_exact()
+
+
+_NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+class TestForcedFirstDerivatives:
+    """C's forced b'(0), c'(0) and f'(0) = 12 are catalog data that the
+    equations check; every order is then one linear solve."""
+
+    @staticmethod
+    def _run(seeds):
+        case = get_case("C")
+        aw = case.resolve_aw()
+        return solver._run(case, aw, seeds(case.seeds(aw, {"a0": 1, "b0": 1, "c0": 1})),
+                           8, lambda fn, o: F(0))
+
+    def test_order_zero_seeds_alone_are_not_affine(self):
+        # unseeded, f[1] multiplies a1[1] and a2[1] in rows a1 and a2 at n = 1
+        with pytest.raises(InconsistentSystem,
+                           match=r"order 1: identity 'a[12]' is not affine"):
+            self._run(lambda seeds: {key: v for key, v in seeds.items() if key[1] == 0})
+
+    def test_wrong_circle_rate_is_inconsistent(self):
+        with pytest.raises(InconsistentSystem,
+                           match=r"order 1: identity 'f' reduces to 36 = 0"):
+            self._run(lambda seeds: {**seeds, ("f", 1): F(6)})
+
+    @given(a0=_NONZERO, b0=_NONZERO, c0=_NONZERO)
+    @settings(max_examples=25, deadline=None)
+    def test_solves_at_any_nonzero_datum(self, a0, b0, c0):
+        sol = solve_series("C", {"a0": a0, "b0": b0, "c0": c0}, order=8)
+        assert sol.verify_exact()
+        assert sol.diagnostics[0]["resolved"] == ["a1[1]", "a2[1]"]
 
 
 class TestFreeSlots:
@@ -477,25 +512,24 @@ class TestLinearPhase:
                               for i, c in enumerate(sol.functions[fn].coef[d:base + 1])]
                  for key in stream._caches for fn, d in key}
         for key, cache in stream._caches.items():
-            want = polyident._product(prods, stream._plan, key)
-            assert [F(n, stream.den) for n in cache.nums[:len(want)]] == \
-                [F(*v) for v in want], key
+            want = Scaled.of(polyident._product(prods, stream._plan, key))
+            assert [F(n, stream.den) for n in cache.nums[:len(want.nums)]] == \
+                [F(n, want.den) for n in want.nums], key
 
 
 def _final_blocks(monkeypatch, solve):
     """Run `solve`; return its solution, its last stream, and for each order
-    the unknowns of that stream's final pass with each identity's row of
-    M(n) and r(n), as `_Stream._solve` received them."""
+    that stream's unknowns with each identity's row of M(n) and r(n), as
+    `_Stream._solve` received them."""
     blocks, record = [], solver._Stream._solve
 
-    def recording(self, n, block, unknowns, log, final):
-        if final:
-            d2 = self.den * self.den
-            blocks.append((self, n, list(unknowns), {
-                i: ({fn: F(c, self._rows[i][0] * s) for fn, c in zip(unknowns, cs)},
-                    F(-b, self._rows[i][0] * s * d2)) for i, cs, b, s in block}))
+    def recording(self, n, block, unknowns, log):
+        d2 = self.den * self.den
+        blocks.append((self, n, list(unknowns), {
+            i: ({fn: F(c, self._rows[i][0] * s) for fn, c in zip(unknowns, cs)},
+                F(-b, self._rows[i][0] * s * d2)) for i, cs, b, s in block}))
         return record(self, n, [[i, list(c), b, s] for i, c, b, s in block], unknowns,
-                      log, final)
+                      log)
 
     monkeypatch.setattr(solver._Stream, "_solve", recording)
     sol, streams = _streams(monkeypatch, solve)
@@ -512,12 +546,12 @@ def _final_blocks(monkeypatch, solve):
 ], ids=["C", "E", "G", "H", "einstein-C", "einstein-D"])
 def test_block_rows_are_the_identity_coefficients(monkeypatch, solve):
     """Row i of order n is coefficient n + r_i of identity i at the final
-    series with the pass's unknowns of order n set to 0, and to 0 plus a unit
+    series with the unknowns of order n set to 0, and to 0 plus a unit
     in one function, and every coefficient above n set to 0: it reads no
     higher order and is affine in x_n, with r(n) and M(n) as solved."""
     sol, stream, blocks = _final_blocks(monkeypatch, solve)
     idents = polynomialize(sol.system())
-    assert [n for n, *_ in blocks] == sorted({n for n, *_ in blocks})  # one final pass each
+    assert [n for n, *_ in blocks] == sorted({n for n, *_ in blocks})  # one solve per order
     for n, unknowns, rows in blocks:
         top = n + stream.rmax + stream.d
         for unit in [None, *unknowns]:
