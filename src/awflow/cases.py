@@ -190,14 +190,15 @@ class OrbitCase:
     def seeds(self, aw: AloffWallach, params: dict[str, Fraction]
               ) -> dict[tuple[str, int], Fraction]:
         """Seed coefficients {(function, order): value} of the holonomy solve."""
-        initial = self.initial_values(aw, params)
-        return _seed_table(initial, self.first_order_seed(aw, params))
+        seeds = {(fn, 0): v for fn, v in self.initial_values(aw, params).items()}
+        return seeds | {(fn, 1): v for fn, v in self.first_order_seed(aw, params).items()}
 
     def einstein_seeds(self, aw: AloffWallach, params: dict[str, Fraction]
                        ) -> dict[tuple[str, int], Fraction]:
-        """Seed coefficients of the diagonal Einstein solve."""
-        initial = self.initial_values(aw, params)
-        return _seed_table(initial, self.einstein.order1(params))
+        """Seed coefficients of the diagonal Einstein solve, whose datum gives
+        the first derivative of every function."""
+        seeds = self.seeds(aw, params)
+        return seeds | {(fn, 1): v for fn, v in self.einstein.order1(params).items()}
 
     # -- smoothness data -----------------------------------------------------------
 
@@ -239,12 +240,6 @@ class OrbitCase:
                 fn: str(v) for fn, v in self.normalization(aw).items()
             }
         return data
-
-
-def _seed_table(initial: Values, first: Values) -> dict[tuple[str, int], Fraction]:
-    seeds = {(fn, 0): v for fn, v in initial.items()}
-    seeds.update(((fn, 1), v) for fn, v in first.items())
-    return seeds
 
 
 CASES: dict[str, OrbitCase] = {}

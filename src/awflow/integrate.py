@@ -520,12 +520,9 @@ def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
 def transform_trajectory(smap, traj: Trajectory) -> Trajectory:
     """Apply a symmetry map to a trajectory; t-reversal reverses sample order.
     Derivatives come from the flow, except that a non-finite row stays inf."""
-    fns = traj.functions
     finite = np.isfinite(traj.d).all(axis=1)
-    src = dict(smap.source)
-    sgn = dict(smap.signs)
-    cols = {fn: i for i, fn in enumerate(fns)}
-    y = np.column_stack([sgn[fn] * traj.y[:, cols[src[fn]]] for fn in fns])
+    columns = smap.apply_to_values(dict(zip(traj.functions, traj.y.T)))
+    y = np.column_stack([columns[fn] for fn in traj.functions])
     t = smap.t_sign * traj.t
     if smap.t_sign < 0:
         t, y, finite = t[::-1], y[::-1], finite[::-1]

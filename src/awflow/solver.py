@@ -358,14 +358,6 @@ class SeriesSolution:
 # -- entry points -------------------------------------------------------------------
 
 
-def _split_params(case: OrbitCase, params: dict) -> tuple[dict, dict]:
-    params = {k: rat(v) for k, v in params.items()}
-    slot_names = {s.param for s in case.slots}
-    slot_params = {k: v for k, v in params.items() if k in slot_names}
-    init_params = {k: v for k, v in params.items() if k not in slot_names}
-    return init_params, slot_params
-
-
 def slot_key(slot: tuple[str, int]) -> tuple[int, str]:
     """The order slot lists are kept in: by series order, then function."""
     return slot[1], slot[0]
@@ -386,19 +378,39 @@ def _run(case: OrbitCase, aw: AloffWallach, seeds: dict, order: int, binder,
     return stream
 
 
+def _setup(kind: str, case: OrbitCase | str, params: dict | None, order: int,
+           k: int | None, l: int | None, lam=None) -> tuple:
+    """The case, its orbit, the parameters as rationals and, for kind
+    "einstein", lambda as a rational, once the order passes the check of the
+    solve's kind ("series", "census" or "einstein"); a census's parameters
+    default to initial values 2, 3, ...  The seeds and slot scales read the
+    initial data only, so the slot values need no split."""
+    case = get_case(case) if isinstance(case, str) else case
+    least = max((s.order for s in case.slots), default=0) + 1
+    if kind == "series" and order < least:
+        raise ConstraintError(f"case {case.id} needs order >= {least}, got {order}")
+    if kind == "census" and order < 6:
+        raise ConstraintError("slot census needs order >= 6")
+    if kind == "einstein" and case.einstein is None:
+        raise ConstraintError(
+            f"case {case.id} has no diagonal Einstein solve (flag and "
+            "five-sphere orbits only)"
+        )
+    if kind == "einstein" and order < 3:
+        raise ConstraintError(
+            f"the Einstein series of case {case.id} needs order >= 3, got {order}"
+        )
+    lam = rat(lam) if kind == "einstein" else None
+    aw = case.resolve_aw(k, l)
+    if params is None:
+        params = {name: i + 2 for i, name in enumerate(case.required_params)}
+    return case, aw, {key: rat(v) for key, v in params.items()}, lam
+
+
 def solve_series(case: OrbitCase | str, params: dict, order: int = 20,
                  k: int | None = None, l: int | None = None) -> SeriesSolution:
     """Exact power-series solution of a cataloged singular IVP."""
-    if isinstance(case, str):
-        case = get_case(case)
-    max_slot = max((s.order for s in case.slots), default=0)
-    if order < max_slot + 1:
-        raise ConstraintError(
-            f"case {case.id} needs order >= {max_slot + 1}, got {order}"
-        )
-    aw = case.resolve_aw(k, l)
-    init_params, slot_params = _split_params(case, params)
-    seeds = case.seeds(aw, init_params)
+    case, aw, params, _ = _setup("series", case, params, order, k, l)
     by_coeff = {(s.function, s.order): s for s in case.slots}
 
     def binder(fn: str, o: int) -> Fraction:
@@ -407,19 +419,18 @@ def solve_series(case: OrbitCase | str, params: dict, order: int = 20,
             raise InconsistentSystem(
                 f"unexpected free direction ({fn}, {o}) for case {case.id}"
             )
-        if spec.param not in slot_params:
+        if spec.param not in params:
             raise MissingSlotValue(fn, o, spec.param)
-        return slot_params[spec.param] * spec.scale(init_params)
+        return params[spec.param] * spec.scale(params)
 
-    stream = _run(case, aw, seeds, order, binder)
+    stream = _run(case, aw, case.seeds(aw, params), order, binder)
     missing = set(by_coeff) - set(stream.free_slots_found)
     if missing:
         raise InconsistentSystem(
             f"declared free slots never became free: {sorted(missing)}"
         )
     return SeriesSolution(
-        case=case, aw=aw, functions=stream.series(),
-        bound_params={**init_params, **slot_params},
+        case=case, aw=aw, functions=stream.series(), bound_params=params,
         free_slots_found=sorted(stream.free_slots_found, key=slot_key),
         diagnostics=stream.diagnostics,
     )
@@ -429,22 +440,14 @@ def free_slots(case: OrbitCase | str, order: int = 8, params: dict | None = None
                k: int | None = None, l: int | None = None,
                probe=Fraction(0)) -> list[tuple[str, int]]:
     """Census of the underdetermined slots, probing with placeholder values."""
-    if isinstance(case, str):
-        case = get_case(case)
-    if order < 6:
-        raise ConstraintError("slot census needs order >= 6")
-    aw = case.resolve_aw(k, l)
-    if params is None:
-        params = {name: Fraction(i + 2) for i, name in enumerate(case.required_params)}
-    init_params, _ = _split_params(case, params)
-    seeds = case.seeds(aw, init_params)
+    case, aw, params, _ = _setup("census", case, params, order, k, l)
     found: list[tuple[str, int]] = []
 
     def binder(fn: str, o: int) -> Fraction:
         found.append((fn, o))
         return rat(probe)
 
-    _run(case, aw, seeds, order, binder)
+    _run(case, aw, case.seeds(aw, params), order, binder)
     return sorted(found, key=slot_key)
 
 
@@ -454,101 +457,82 @@ def einstein_series(case: OrbitCase | str, params: dict, lam, order: int = 10,
 
     Slot parameters carry the theorems' derivative values: f3 is f'''(0)
     (six times the Taylor coefficient).  At the flag orbits the circle fiber
-    admits a continuous cone datum f'(0) and the third-derivative slot is
-    realized through it (they are proportional once the orbit metric and
-    lambda are fixed); the request f'''(0) = 0 lands on the degenerate
-    f == 0 branch.  The five-sphere fiber is a two-sphere with no cone
-    datum: there the recursion determines the third derivative.
+    admits a continuous cone datum f1 = f'(0) and the third-derivative slot
+    is realized through it (they are proportional once the orbit metric and
+    lambda are fixed); f1 = 0, or the request f'''(0) = 0, lands on the
+    degenerate f == 0 branch.  The five-sphere fiber is a two-sphere with no
+    cone datum: in the diagonal arclength gauge the recursion determines
+    a'''(0) from (b0, f0, (b-c)'(0), lambda); the further third-order
+    freedom of the general theory lives in the non-diagonal sector, which
+    this artifact counts but does not solve.  A third derivative the datum
+    determines (a3, or f3 next to f1) is checked, not consumed.
     """
-    if isinstance(case, str):
-        case = get_case(case)
-    spec = case.einstein
-    if spec is None:
-        raise ConstraintError(
-            f"case {case.id} has no diagonal Einstein solve (flag and "
-            "five-sphere orbits only)"
-        )
-    if order < 3:
-        raise ConstraintError(
-            f"the Einstein series of case {case.id} needs order >= 3, got {order}"
-        )
-    lam = rat(lam)
-    aw = case.resolve_aw(k, l)
-    params = {key: rat(v) for key, v in params.items()}
-    if case.orbit == "s5":
-        return _einstein_sphere(case, spec, aw, params, lam, order)
-    return _einstein_flag(case, spec, aw, params, lam, order)
-
-
-def _einstein_sphere(case, spec, aw, params, lam, order):
-    """Five-sphere Einstein solve.
-
-    In the diagonal arclength gauge the recursion determines a'''(0) from
-    (b0, f0, (b-c)'(0), lambda); the further third-order freedom of the
-    general theory lives in the non-diagonal sector, which this artifact
-    counts but does not solve.  A supplied a3 is checked, not consumed.
-    """
-    sol = _einstein_run(case, spec, aw, params, lam, order)
-    realized = 6 * sol.functions["a"].coef[3]
-    if "a3" in params and params["a3"] != realized:
-        raise ConstraintError(
-            f"in the diagonal arclength gauge a'''(0) is determined as "
-            f"{realized}; the requested value {params['a3']} needs the "
-            "non-diagonal sector"
-        )
-    sol.free_slots_found = [(label, o) for _, label, o in spec.combo_slots]
-    sol.diagnostics.append({"order": "post", "determined": {"a3": str(realized)}})
-    return sol
-
-
-def _einstein_flag(case, spec, aw, params, lam, order):
-    """Flag-orbit Einstein solve: realize the f'''(0) slot via the cone datum."""
-    fslot = spec.coeff_slots[0]
-    if "f1" in params:
-        if params["f1"] == 0:
-            return _einstein_degenerate(case, params, lam, order, aw)
-        return _einstein_run(case, spec, aw, params, lam, order)
-    if fslot.param not in params:
-        raise MissingSlotValue(fslot.function, fslot.order, fslot.param)
-    f3 = params[fslot.param]
-    combo = {p: params.get(p, Fraction(0)) for p, _, _ in spec.combo_slots}
-    if f3 == 0:
-        return _einstein_degenerate(case, params, lam, order, aw)
-    if any(v != 0 for v in combo.values()):
-        raise ConstraintError(
-            "with a nonzero first-derivative datum the cone datum is not "
-            "rational in f'''(0); pass f1 explicitly instead of "
-            f"{fslot.param}"
-        )
-    # reference pass: f'''(0) is proportional to the cone datum f'(0); the
-    # slope only reads f[3]: at target order 1 the blocks run through order
-    # 1 + d = 3
-    ref = {**params, "f1": case.circle_rate(aw)}
-    ref.pop(fslot.param, None)
-    slope = 6 * _einstein_stream(case, aw, ref, lam, 1).x["f"][3] / ref["f1"]
-    if slope == 0:
-        raise ConstraintError(
-            f"no formal solution: f'''(0) is forced to 0 at lambda={lam}"
-        )
-    final = dict(params)
-    final["f1"] = f3 / slope
-    sol = _einstein_run(case, spec, aw, final, lam, order)
-    if 6 * sol.functions["f"].coef[3] != f3:  # pragma: no cover
-        raise InconsistentSystem("cone-datum calibration failed")
-    sol.bound_params = dict(params)
-    return sol
-
-
-def _einstein_run(case, spec, aw, params, lam, order):
-    stream = _einstein_stream(case, aw, params, lam, order)
-    return SeriesSolution(
-        case=case, aw=aw, functions=stream.series(), bound_params=dict(params),
-        free_slots_found=spec.slots, diagnostics=stream.diagnostics,
-        einstein_lambda=lam,
+    case, aw, params, lam = _setup("einstein", case, params, order, k, l, lam)
+    spec, flag = case.einstein, case.orbit != "s5"
+    slot, run = spec.coeff_slots[0], params
+    if flag and "f1" not in params:
+        if slot.param not in params:
+            raise MissingSlotValue(slot.function, slot.order, slot.param)
+        f3 = params[slot.param]
+        if f3 and any(params.get(p) for p, _, _ in spec.combo_slots):
+            raise ConstraintError(
+                "with a nonzero first-derivative datum the cone datum is not "
+                f"rational in f'''(0); pass f1 explicitly instead of {slot.param}"
+            )
+        if f3:
+            # reference pass: f'''(0) is proportional to the cone datum f'(0);
+            # the slope only reads f[3]: at target order 1 the blocks run
+            # through order 1 + d = 3
+            ref = {key: v for key, v in params.items() if key != slot.param}
+            ref["f1"] = case.circle_rate(aw)
+            slope = 6 * _einstein_stream(case, aw, ref, lam, 1).x["f"][3] / ref["f1"]
+            if slope == 0:
+                raise ConstraintError(
+                    f"no formal solution: f'''(0) is forced to 0 at lambda={lam}"
+                )
+            f3 /= slope
+        run = {**params, "f1": f3}
+    degenerate = flag and run["f1"] == 0
+    if degenerate:
+        # the circle fiber vanishes identically and the other functions follow
+        # the first-order flag branch: a Ricci-flat branch only
+        if not case.degenerate:
+            raise ConstraintError(
+                f"the f'(0) = 0 degeneration is not cataloged for case {case.id}"
+            )
+        if lam != 0:
+            raise ConstraintError(
+                "f'''(0) = 0 forces the degenerate f == 0 branch, which is "
+                "Ricci-flat only; pass lambda 0"
+            )
+        solved = solve_series(case, params, order=order, k=aw.k, l=aw.l)
+        functions, log = solved.functions, solved.diagnostics
+    else:
+        stream = _einstein_stream(case, aw, run, lam, order)
+        functions, log = stream.series(), stream.diagnostics
+    # the five-sphere recursion determines the coefficient slot: not free there
+    sol = SeriesSolution(
+        case=case, aw=aw, functions=functions, bound_params=params,
+        free_slots_found=spec.slots if flag else spec.slots[:len(spec.combo_slots)],
+        diagnostics=log, einstein_lambda=lam,
     )
+    if degenerate and not sol.verify_exact():  # pragma: no cover - zero residuals
+        raise InconsistentSystem("degenerate branch failed the Einstein identities")
+    realized = 6 * functions[slot.function].coef[slot.order]
+    if params.get(slot.param, realized) != realized:
+        raise ConstraintError(
+            f"in the diagonal arclength gauge {slot.function}'''(0) is determined as "
+            f"{realized}; the requested value {params[slot.param]} needs "
+            + (f"another cone datum than f1 = {run['f1']}" if flag
+               else "the non-diagonal sector")
+        )
+    if not flag:
+        log.append({"order": "post", "determined": {slot.param: str(realized)}})
+    return sol
 
 
-def _einstein_stream(case, aw, params, lam, order):
+def _einstein_stream(case: OrbitCase, aw: AloffWallach, params: dict, lam: Fraction,
+                     order: int) -> _Stream:
     """The Einstein staircase; no slot binds a free coefficient there."""
     def binder(fn: str, o: int) -> Fraction:
         datum = ", ".join(f"{key}={v}" for key, v in sorted(params.items()))
@@ -559,34 +543,6 @@ def _einstein_stream(case, aw, params, lam, order):
         )
 
     return _run(case, aw, case.einstein_seeds(aw, params), order, binder, lam)
-
-
-def _einstein_degenerate(case: OrbitCase, params: dict, lam: Fraction, order: int,
-                         aw: AloffWallach) -> SeriesSolution:
-    """The f == 0 branch: the cleared Einstein identities degenerate.
-
-    With the circle fiber identically zero the remaining functions follow the
-    first-order flag branch; the combined series satisfies every cleared
-    Einstein identity exactly (checked), but only lambda = 0 is meaningful.
-    """
-    if not case.degenerate:
-        raise ConstraintError(
-            f"the f'(0) = 0 degeneration is not cataloged for case {case.id}"
-        )
-    if lam != 0:
-        raise ConstraintError(
-            "f'''(0) = 0 forces the degenerate f == 0 branch, which is "
-            "Ricci-flat only; pass lambda 0"
-        )
-    base = solve_series(case, params, order=order, k=aw.k, l=aw.l)
-    sol = SeriesSolution(
-        case=case, aw=aw, functions=base.functions, bound_params=params,
-        free_slots_found=[("f", 3)], diagnostics=base.diagnostics,
-        einstein_lambda=lam,
-    )
-    if not sol.verify_exact():  # pragma: no cover - trivially zero residuals
-        raise InconsistentSystem("degenerate branch failed the Einstein identities")
-    return sol
 
 
 # -- smoothness ----------------------------------------------------------------------

@@ -264,6 +264,15 @@ def test_resonant_einstein_datum_exits_3(capsys):
     assert "Traceback" not in err
 
 
+def test_flag_f3_conflicting_with_f1_exits_3(capsys):
+    code, out, err = run(capsys, "series", "--einstein", "--case", "C",
+                         "--param", "a0=5", "--param", "b0=3", "--param", "c0=4",
+                         "--param", "f1=5/2", "--param", "f3=7", "--lambda", "1")
+    assert (code, out) == (3, "")
+    assert "f'''(0) is determined as 887/360; the requested value 7" in err
+    assert "Traceback" not in err
+
+
 _FAULTY_D = ("verify", "--case", "D", "--fault-inject")
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from math import perm
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from awflow import polyident, solver
 from awflow.analysis import cross_check_free_params
-from awflow.cases import CASES, ConstraintError, MissingSlotValue, get_case
+from awflow.cases import CASES, ConstraintError, MissingSlotValue, SlotSpec, get_case
 from awflow.exact import Scaled, TruncSeries
 from awflow.polyident import eval_identities, polynomialize
 from awflow.reptheory import AloffWallach
@@ -218,6 +219,47 @@ class TestSolverContracts:
         assert back.verify_exact()
 
 
+class TestEntryErrors:
+    """The typed errors of the entry layer above the block recursion."""
+
+    _E = {"b0": F(2, 3), "q": F(1, 2)}
+
+    def test_census_needs_order_6(self):
+        with pytest.raises(ConstraintError, match=r"^slot census needs order >= 6$"):
+            free_slots("E", order=5, k=2, l=1)
+
+    def test_declared_slot_that_never_becomes_free(self):
+        # b[4] is solved at its order: the catalog's promise is not kept
+        case = get_case("E")
+        case = replace(case, slots=case.slots + (SlotSpec("p", "b", 4, scale=lambda p: 1),))
+        with pytest.raises(InconsistentSystem,
+                           match=r"^declared free slots never became free: \[\('b', 4\)\]$"):
+            solve_series(case, {**self._E, "p": 1}, order=8, k=2, l=1)
+
+    def test_free_direction_no_slot_declares(self):
+        # M(3) drops rank; with no slot to pivot last, a[3] is the column left
+        case = replace(get_case("E"), slots=())
+        with pytest.raises(InconsistentSystem,
+                           match=r"^unexpected free direction \(a, 3\) for case E$"):
+            solve_series(case, self._E, order=8, k=2, l=1)
+
+    def test_no_einstein_solve_message(self):
+        with pytest.raises(ConstraintError, match=r"^case E has no diagonal Einstein solve "
+                           r"\(flag and five-sphere orbits only\)$"):
+            einstein_series("E", {"b0": 1, "q": 0}, 0, order=6, k=2, l=1)
+
+    def test_cone_datum_not_rational_in_f3(self):
+        with pytest.raises(ConstraintError, match=r"the cone datum is not rational in "
+                           r"f'''\(0\); pass f1 explicitly instead of f3$"):
+            einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "asum1": 1, "f3": 1}, 1,
+                            order=6)
+
+    def test_degeneration_not_cataloged(self):
+        with pytest.raises(ConstraintError, match=r"^the f'\(0\) = 0 degeneration is not "
+                           r"cataloged for case C$"):
+            einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "f3": 0}, 0, order=6)
+
+
 _NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
 
 
@@ -402,6 +444,24 @@ class TestEinstein:
         with pytest.raises(ConstraintError, match="determined"):
             einstein_series("D", {"b0": 1, "f0": 1, "bdiff1": 0, "a3": 7}, 0,
                             order=8)
+
+    def test_flag_third_derivative_next_to_f1_is_checked(self):
+        # f1 = 5/2 determines f'''(0) = 887/360 at lambda 1
+        params = {"a0": 5, "b0": 3, "c0": 4, "f1": F(5, 2)}
+        with pytest.raises(ConstraintError, match=r"f'''\(0\) is determined as 887/360; "
+                           r"the requested value 7 needs another cone datum than f1 = 5/2"):
+            einstein_series("C", {**params, "f3": 7}, 1, order=8)
+        sol = einstein_series("C", {**params, "f3": F(887, 360)}, 1, order=8)
+        assert sol.functions == einstein_series("C", params, 1, order=8).functions
+        assert sol.bound_params["f3"] == F(887, 360)
+
+    def test_degenerate_third_derivative_next_to_f1_is_checked(self):
+        params = {"a0": 1, "b0": 2, "c0": 3, "f1": 0}
+        with pytest.raises(ConstraintError, match=r"f'''\(0\) is determined as 0; "
+                           r"the requested value 2 needs another cone datum than f1 = 0"):
+            einstein_series("B", {**params, "f3": 2}, 0, order=6)
+        sol = einstein_series("B", {**params, "f3": 0}, 0, order=6)
+        assert sol.functions["f"].is_zero()
 
     def test_missing_slot(self):
         with pytest.raises(MissingSlotValue):
