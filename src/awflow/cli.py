@@ -108,9 +108,11 @@ def _verify_one(job) -> dict:
 
 
 def _fill_defaults(case_id: str, params: dict) -> dict:
-    """Unspecified initial values default to 1, free slots to 0."""
+    """The parameters the case reads; unspecified initial values default to
+    1, free slots to 0."""
     case = get_case(case_id)
-    out = dict(params)
+    names = case.param_names()
+    out = {name: v for name, v in params.items() if name in names}
     for name in case.required_params:
         out.setdefault(name, Fraction(1))
     for slot in case.slots:

@@ -82,12 +82,11 @@ def torus_sym_power(w: tuple[int, int], m: int) -> TorusModuleSum:
     return out
 
 
-def decompose_S2_p(aw: AloffWallach) -> TorusModuleSum:
-    """S^2 of the 6-dim tangent space of the flag singular orbit."""
+def _S2_p_weights(aw: AloffWallach) -> list[tuple[int, int]]:
+    """The nine nontrivial torus weights of S^2 of the flag orbit's 6-dim
+    tangent space (not canonicalized); the other three summands are trivial."""
     k, l = aw.k, aw.l
-    out = TorusModuleSum()
-    out.trivial = 3
-    for r, s in [
+    return [
         (6 * k + 6 * l, 2 * k - 2 * l),
         (6 * l, 4 * k + 2 * l),
         (-6 * k, 2 * k + 4 * l),
@@ -97,7 +96,14 @@ def decompose_S2_p(aw: AloffWallach) -> TorusModuleSum:
         (6 * k + 3 * l, -3 * l),
         (-3 * k + 3 * l, 3 * k + 3 * l),
         (3 * k + 3 * l, k - l),
-    ]:
+    ]
+
+
+def decompose_S2_p(aw: AloffWallach) -> TorusModuleSum:
+    """S^2 of the 6-dim tangent space of the flag singular orbit."""
+    out = TorusModuleSum()
+    out.trivial = 3
+    for r, s in _S2_p_weights(aw):
         out.add(r, s)
     return out
 
@@ -121,7 +127,14 @@ TORUS_ORBITS = ("u12", "u12-z2")
 
 
 def dim_W(aw: AloffWallach, orbit: str, m: int, part: str) -> int:
-    """dim of the equivariant-map space S^m(normal) -> S^2(tangent or normal)."""
+    """dim of the equivariant-map space S^m(normal) -> S^2(tangent or normal).
+
+    Counted on weights: S^m of the normal weight (r, 0) has the weights
+    (j r, 0) for 0 < j <= m, j = m (mod 2), plus the trivial line when m is
+    even.  Each target weight (a, 0) among them adds 2 (once per occurrence),
+    the trivial line pairs with the target's trivial summands.  This is
+    dim_hom_torus(torus_sym_power(pperp, m), target) without building either.
+    """
     if orbit == "s5":
         raise ValueError("use dim_W_s5")
     if orbit not in TORUS_ORBITS:
@@ -129,17 +142,19 @@ def dim_W(aw: AloffWallach, orbit: str, m: int, part: str) -> int:
     if orbit == "u12-z2":
         if (aw.k, aw.l) != (1, 1):
             raise ValueError("the order-two quotient exists only for (k, l) = (1, 1)")
-        pperp = canon_weight(4 * aw.delta, 0)
+        r = 4 * aw.delta
     else:
-        pperp = canon_weight(2 * aw.delta, 0)
-    src = torus_sym_power(pperp, m)
+        r = 2 * aw.delta
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    src = range((2 - m % 2) * r, m * r + 1, 2 * r)  # the a > 0 of the weights (a, 0)
     if part == "h":
-        dst = decompose_S2_p(aw)
+        weights, trivial = _S2_p_weights(aw), 3
     elif part == "v":
-        dst = torus_sym_power(pperp, 2)
+        weights, trivial = [(2 * r, 0)], 1
     else:
         raise ValueError("part must be 'h' or 'v'")
-    return dim_hom_torus(src, dst)
+    return (1 - m % 2) * trivial + 2 * sum(s == 0 and abs(a) in src for a, s in weights)
 
 
 # -- SU(2) side (five-sphere singular orbit) -----------------------------------
@@ -183,36 +198,26 @@ def su2_sym_power(m: int) -> Su2ModuleSum:
     return out
 
 
-def _s5_S2_tangent() -> Su2ModuleSum:
-    out = Su2ModuleSum()
-    out.add(2, "R", 3)
-    out.add(1, "C", 1)
-    out.add(0, "R", 2)
-    return out
-
-
-def _s5_S2_normal() -> Su2ModuleSum:
-    out = Su2ModuleSum()
-    out.add(4, "R", 1)
-    out.add(0, "R", 1)
-    return out
+#: S^2 of the five-sphere's tangent and normal spaces as (weight, kind, mult).
+_S5_S2 = {
+    "h": ((2, "R", 3), (1, "C", 1), (0, "R", 2)),
+    "v": ((4, "R", 1), (0, "R", 1)),
+}
 
 
 def dim_W_s5(m: int, part: str) -> int:
-    """Equivariant-map dimensions at the five-sphere singular orbit."""
-    src = su2_sym_power(m)
-    if part == "h":
-        dst = _s5_S2_tangent()
-    elif part == "v":
-        dst = _s5_S2_normal()
-    else:
+    """Equivariant-map dimensions at the five-sphere singular orbit.
+
+    S^m of the 3-dim real module has the real weights 2m - 4p, p = 0..m/2:
+    each real target entry of such a weight adds its multiplicity, and
+    complex-type entries meet none.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    src = range(2 * m % 4, 2 * m + 1, 4)
+    if part not in ("h", "v"):
         raise ValueError("part must be 'h' or 'v'")
-    dim = 0
-    for (w, kind), ms in src.entries.items():
-        if kind != "R":
-            continue
-        dim += ms * dst.entries.get((w, "R"), 0)
-    return dim
+    return sum(mult for w, kind, mult in _S5_S2[part] if kind == "R" and w in src)
 
 
 # -- first return times and collapsing-circle normalization ---------------------

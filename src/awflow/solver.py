@@ -46,10 +46,13 @@ class _Stream:
     coefficients not known yet as 0.  Row i of order n is its value at
     x_n = 0 plus M(n)_i x_n: M(n)_i,fn sums perm(n, dord) times entry
     r_i + dord of dN/dl over dord, N the terms of identity i, l the leaf
-    (fn, dord).  From order 2d + max r + 1 on that entry is settled and no
-    entry multiplies two coefficients of order n: M(n) comes from constants
-    built once, and dN/dl patches the entries that read x_n as 0.  Before,
-    dN/dl is taken at the current entries, recomputed once x_n is known, and
+    (fn, dord).  A multiplier of x_n reads the same coefficients at every n,
+    all below the first order n0 with unknowns, so M(n)'s constants are
+    built at n0 (again at n0 + 1 if n0 also held seeded coefficients, whose
+    columns read the ones solved at n0 as 0).  From order 2d + max r + 1 on
+    no entry multiplies two coefficients of order n: the constants are built
+    once more from settled entries, and dN/dl patches the entries that read
+    x_n as 0.  Before, the entries are recomputed once x_n is known, and
     every row must then vanish: one that does not was not affine in x_n.
     """
 
@@ -91,7 +94,8 @@ class _Stream:
             self._rows.append((lcd, [(cn * (lcd // cd), *(
                 (self._caches[key], None) if key in self._caches
                 else (self._caches[h] for h in plan[key]))) for (cn, cd), key in terms]))
-        self._lin: list | None = None  # M(n)'s constants, from order lin_from on
+        self._lin: list | None = None  # M(n)'s constants
+        self._lin_due: int | None = 0  # build them at the first order with unknowns from here
 
     # ---- the caches
 
@@ -256,11 +260,13 @@ class _Stream:
     def _order(self, n: int) -> None:
         unknowns = [fn for fn in self.functions if self.x[fn][n] is None]
         rows = [i for i, r in enumerate(self.shifts) if n + r >= 0]
-        lin = (self._lin if n >= self.lin_from or not unknowns
-               else self._constants(self._deriv()))
+        if unknowns and self._lin_due is not None and self._lin_due <= n < self.lin_from:
+            mixed = self._lin is None and len(unknowns) < len(self.functions)
+            self._lin = self._constants(self._deriv())
+            self._lin_due = n + 1 if mixed else None
         block = []
         for i in rows:
-            den, consts = lin[i] if unknowns else (1, {})
+            den, consts = self._lin[i] if unknowns else (1, {})
             c = [0] * len(unknowns)
             for (fn, dord), num in consts.items():
                 if fn in unknowns:
@@ -382,9 +388,10 @@ def _setup(kind: str, case: OrbitCase | str, params: dict | None, order: int,
            k: int | None, l: int | None, lam=None) -> tuple:
     """The case, its orbit, the parameters as rationals and, for kind
     "einstein", lambda as a rational, once the order passes the check of the
-    solve's kind ("series", "census" or "einstein"); a census's parameters
-    default to initial values 2, 3, ...  The seeds and slot scales read the
-    initial data only, so the slot values need no split."""
+    solve's kind ("series", "census" or "einstein") and every parameter name
+    is one the solve reads; a census's parameters default to initial values
+    2, 3, ...  The seeds and slot scales read the initial data only, so the
+    slot values need no split."""
     case = get_case(case) if isinstance(case, str) else case
     least = max((s.order for s in case.slots), default=0) + 1
     if kind == "series" and order < least:
@@ -395,6 +402,13 @@ def _setup(kind: str, case: OrbitCase | str, params: dict | None, order: int,
         raise ConstraintError(
             f"case {case.id} has no diagonal Einstein solve (flag and "
             "five-sphere orbits only)"
+        )
+    names = case.param_names(kind == "einstein")
+    if params is not None and (unread := sorted(set(params) - set(names))):
+        raise ConstraintError(
+            f"the {'Einstein' if kind == 'einstein' else 'holonomy'} solve of case "
+            f"{case.id} reads no parameter(s) {', '.join(unread)}; accepted names: "
+            f"{', '.join(names)}"
         )
     if kind == "einstein" and order < 3:
         raise ConstraintError(
@@ -505,7 +519,9 @@ def einstein_series(case: OrbitCase | str, params: dict, lam, order: int = 10,
                 "f'''(0) = 0 forces the degenerate f == 0 branch, which is "
                 "Ricci-flat only; pass lambda 0"
             )
-        solved = solve_series(case, params, order=order, k=aw.k, l=aw.l)
+        names = case.param_names()
+        solved = solve_series(case, {key: v for key, v in params.items() if key in names},
+                              order=order, k=aw.k, l=aw.l)
         functions, log = solved.functions, solved.diagnostics
     else:
         stream = _einstein_stream(case, aw, run, lam, order)

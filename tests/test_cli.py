@@ -136,6 +136,16 @@ class TestVerify:
         assert all(r["ok"] for r in reports)
 
 
+    def test_each_case_reports_only_the_names_it_reads(self, capsys):
+        # q is G's slot parameter; the holonomy solve of D reads no q
+        code, out, _ = run(capsys, "verify", "--case", "D,G", "--param", "q=1/2",
+                           "--t-end", "0.3", "--order", "12")
+        assert code == 0
+        d, g = json.loads(out)
+        assert d["params"] == {"b0": "1/1", "f0": "1/1"}
+        assert g["params"] == {"q": "1/2", "a0": "1/1"}
+
+
 class TestCases:
     def test_catalog_dump(self, capsys):
         code, out, _ = run(capsys, "cases")

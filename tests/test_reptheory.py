@@ -3,9 +3,9 @@ from math import gcd
 
 import pytest
 
-from awflow.reptheory import (AloffWallach, canon_weight, circle_normalization,
-                              decompose_S2_p, dim_hom_torus, dim_W, dim_W_s5,
-                              first_return_time, isotropy_modules,
+from awflow.reptheory import (AloffWallach, Su2ModuleSum, canon_weight,
+                              circle_normalization, decompose_S2_p, dim_hom_torus,
+                              dim_W, dim_W_s5, first_return_time, isotropy_modules,
                               su2_sym_power, torus_sym_power)
 
 
@@ -141,6 +141,78 @@ class TestDimensionTables:
     def test_quotient_needs_exceptional(self):
         with pytest.raises(ValueError):
             dim_W(AloffWallach(2, 1), "u12-z2", 2, "h")
+
+
+_PAIRS_12 = [(k, l) for k in range(-12, 13) for l in range(-12, 13)
+             if (k, l) != (0, 0) and gcd(k, l) == 1]
+
+
+class TestCountingMatchesModuleSums:
+    """dim_W and dim_W_s5 count matching weights; the module sums are the
+    reference they must agree with."""
+
+    def test_torus_orbits(self):
+        checked = 0
+        for k, l in _PAIRS_12:
+            aw = AloffWallach(k, l)
+            normal = isotropy_modules(aw)["pperp"]
+            orbits = {"u12": normal}
+            if (k, l) == (1, 1):
+                orbits["u12-z2"] = canon_weight(4 * aw.delta, 0)
+            for orbit, pperp in orbits.items():
+                targets = {"h": decompose_S2_p(aw), "v": torus_sym_power(pperp, 2)}
+                for m in range(25):
+                    src = torus_sym_power(pperp, m)
+                    for part, dst in targets.items():
+                        assert dim_W(aw, orbit, m, part) == dim_hom_torus(src, dst), \
+                            (k, l, orbit, m, part)
+                        checked += 1
+        assert checked == (len(_PAIRS_12) + 1) * 25 * 2
+
+    def test_five_sphere(self):
+        targets = {"h": Su2ModuleSum(), "v": Su2ModuleSum()}
+        targets["h"].add(2, "R", 3)
+        targets["h"].add(1, "C", 1)
+        targets["h"].add(0, "R", 2)
+        targets["v"].add(4, "R")
+        targets["v"].add(0, "R")
+        for m in range(25):
+            src = su2_sym_power(m)
+            for part, dst in targets.items():
+                want = sum(ms * dst.entries.get((w, "R"), 0)
+                           for (w, kind), ms in src.entries.items() if kind == "R")
+                assert dim_W_s5(m, part) == want, (m, part)
+
+
+class TestErrors:
+    """Each ValueError of the tables, and the order the checks run in."""
+
+    @pytest.mark.parametrize("kl, orbit, m, part, message", [
+        ((1, 1), "s5", -1, "x", "use dim_W_s5"),
+        ((1, 1), "u13", -1, "x",
+         "unknown orbit 'u13'; expected one of ('u12', 'u12-z2', 's5')"),
+        ((2, 1), "u12-z2", -1, "x",
+         "the order-two quotient exists only for (k, l) = (1, 1)"),
+        ((2, 1), "u12", -1, "x", "m must be >= 0"),
+        ((1, 1), "u12-z2", -3, "h", "m must be >= 0"),
+        ((2, 1), "u12", 0, "x", "part must be 'h' or 'v'"),
+        ((1, 1), "u12-z2", 4, "hv", "part must be 'h' or 'v'"),
+    ])
+    def test_dim_W(self, kl, orbit, m, part, message):
+        with pytest.raises(ValueError) as exc:
+            dim_W(AloffWallach(*kl), orbit, m, part)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("m, part, message", [
+        (-1, "x", "m must be >= 0"),
+        (-2, "h", "m must be >= 0"),
+        (0, "x", "part must be 'h' or 'v'"),
+        (3, "V", "part must be 'h' or 'v'"),
+    ])
+    def test_dim_W_s5(self, m, part, message):
+        with pytest.raises(ValueError) as exc:
+            dim_W_s5(m, part)
+        assert str(exc.value) == message
 
 
 class TestSu2SymPower:

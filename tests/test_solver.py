@@ -241,12 +241,30 @@ class TestEntryErrors:
         case = replace(get_case("E"), slots=())
         with pytest.raises(InconsistentSystem,
                            match=r"^unexpected free direction \(a, 3\) for case E$"):
-            solve_series(case, self._E, order=8, k=2, l=1)
+            solve_series(case, {"b0": F(2, 3)}, order=8, k=2, l=1)
 
     def test_no_einstein_solve_message(self):
         with pytest.raises(ConstraintError, match=r"^case E has no diagonal Einstein solve "
                            r"\(flag and five-sphere orbits only\)$"):
             einstein_series("E", {"b0": 1, "q": 0}, 0, order=6, k=2, l=1)
+
+    def test_unread_parameter_names(self):
+        # the holonomy solve of D has no slot, and its five-sphere Einstein
+        # seeds fix a'(0) = 2 with no cone datum
+        with pytest.raises(ConstraintError, match=r"^the holonomy solve of case D reads no "
+                           r"parameter\(s\) f3, q; accepted names: a0, b0, c0, f0$"):
+            solve_series("D", {"b0": 1, "f0": 1, "q": 5, "f3": 2})
+        with pytest.raises(ConstraintError, match=r"^the Einstein solve of case D reads no "
+                           r"parameter\(s\) f1; accepted names: a0, a3, b0, bdiff1, c0, f0$"):
+            einstein_series("D", {"b0": 1, "f0": 1, "f1": 3}, 1)
+
+    def test_unread_names_checked_between_the_einstein_checks(self):
+        # after "no diagonal Einstein solve", before the order check
+        with pytest.raises(ConstraintError, match=r"^case E has no diagonal Einstein solve"):
+            einstein_series("E", {"b0": 1, "f3": 1}, 0, order=2, k=2, l=1)
+        with pytest.raises(ConstraintError, match=r"case A reads no parameter\(s\) asum1;"):
+            einstein_series("A", {"a0": 1, "b0": 1, "c0": 1, "f1": 1, "f3": 0, "asum1": 1},
+                            0, order=2, k=2, l=1)
 
     def test_cone_datum_not_rational_in_f3(self):
         with pytest.raises(ConstraintError, match=r"the cone datum is not rational in "
@@ -575,6 +593,35 @@ class TestLinearPhase:
             want = Scaled.of(polyident._product(prods, stream._plan, key))
             assert [F(n, stream.den) for n in cache.nums[:len(want.nums)]] == \
                 [F(n, want.den) for n in want.nums], key
+
+
+class TestDerivativePasses:
+    """M(n)'s constants are built at the first order with unknowns, once more
+    at the next order where that one also held seeded coefficients (C), and
+    by `_go_linear`; a flag Einstein solve given f3 adds one reference pass."""
+
+    @pytest.mark.parametrize("solve, passes", [
+        *((lambda c=c, p=p, kw=kw: solve_series(c, p, order=20, **kw), 3 if c == "C" else 2)
+          for c, p, kw in _HOLONOMY_28),
+        (lambda: solve_series("A", _A_21, order=20, k=2, l=1), 2),
+        (lambda: solve_series("B", _A_21, order=20), 2),
+        (lambda: einstein_series("A", {**_A_21, "f3": 1}, 1, order=12, k=2, l=1), 3),
+        (lambda: einstein_series("A", {**_A_21, "f1": 1}, 1, order=12, k=2, l=1), 2),
+        (lambda: einstein_series("C", {"a0": 5, "b0": 3, "c0": 4, "f3": 1}, -1,
+                                 order=12), 3),
+        (lambda: einstein_series("D", {"b0": F(3, 2), "f0": F(2, 3)}, 1, order=12), 2),
+    ], ids=["C", "D", "E", "F", "G", "H", "A", "B", "einstein-A-f3", "einstein-A-f1",
+            "einstein-C-f3", "einstein-D"])
+    def test_deriv_calls(self, monkeypatch, solve, passes):
+        calls, deriv = [], solver._Stream._deriv
+
+        def counting(self):
+            calls.append(self)
+            return deriv(self)
+
+        monkeypatch.setattr(solver._Stream, "_deriv", counting)
+        assert solve().verify_exact()
+        assert len(calls) == passes
 
 
 def _final_blocks(monkeypatch, solve):
