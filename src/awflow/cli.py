@@ -131,7 +131,8 @@ def cmd_verify(args) -> tuple[int, str]:
     _check_names(cases, params)
     jobs = [(cid, _fill_defaults(cid, params), kw) for cid in cases]
     if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool may start all its workers up front: no more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             reports = list(pool.map(_verify_one, jobs))
     else:
         reports = [_verify_one(job) for job in jobs]

@@ -444,19 +444,34 @@ def _fired(y: list[float], y_new: list[float], live: list[int],
 
 
 def _rhs_rows(sys: SystemId, y: np.ndarray) -> np.ndarray:
-    """The first-order flow at every row of y (samples x functions), in one call."""
-    return np.column_stack(compiled(sys, batch=True)(list(y.T)))
+    """The first-order flow at every row of y (samples x functions), in one call
+    on contiguous columns: one transposed copy in, one stacked array out."""
+    return np.column_stack(compiled(sys, batch=True)(list(np.ascontiguousarray(y.T))))
+
+
+def _usable(keep: np.ndarray):
+    """An index of the rows where keep holds: a slice when it holds on every
+    row, so indexing takes a view and copies nothing."""
+    return slice(None) if keep.all() else keep
+
+
+def _finite_rows(a: np.ndarray) -> np.ndarray:
+    """Whether each row of a holds no inf or nan.  One test on the whole array
+    settles the usual case; the reduction row by row, slow on rows this short,
+    runs only when some entry fails."""
+    finite = np.isfinite(a)
+    return np.ones(len(a), dtype=bool) if finite.all() else finite.all(axis=1)
 
 
 def first_order_defect(sys: SystemId, traj: Trajectory) -> float:
     """Max defect of the stored flow at segment midpoints (cubic Hermite),
     leaving out a segment that ends at a non-finite row (a collapse on zero)."""
     h = np.diff(traj.t)
-    finite = np.isfinite(traj.d).all(axis=1)
-    seg = np.flatnonzero((h > 0) & finite[:-1] & finite[1:])
-    h = h[seg, None]
-    y0, y1 = traj.y[seg], traj.y[seg + 1]
-    d0, d1 = traj.d[seg], traj.d[seg + 1]
+    finite = _finite_rows(traj.d)
+    keep = _usable((h > 0) & finite[:-1] & finite[1:])
+    h = h[keep, None]
+    y0, y1 = traj.y[:-1][keep], traj.y[1:][keep]
+    d0, d1 = traj.d[:-1][keep], traj.d[1:][keep]
     ym = 0.5 * (y0 + y1) + 0.125 * h * (d0 - d1)
     dm = 1.5 * (y1 - y0) / h - 0.25 * (d0 + d1)
     return float(np.max(np.abs(dm - _rhs_rows(sys, ym)), initial=0.0))
@@ -472,10 +487,12 @@ def _einstein_rows(sys: SystemId, y: np.ndarray) -> list[np.ndarray]:
     """
     sysf = sys.first_order()
     fns = sysf.functions
-    d1 = _rhs_rows(sysf, y)
-    d2 = _rhs_rows(sysf, y + 1e-100j * d1).imag * 1e100
-    return residual_einstein(sysf.einstein(), State(dict(zip(fns, y.T))),
-                             dict(zip(fns, d1.T)), dict(zip(fns, d2.T)), 0.0)
+    flow = compiled(sysf, batch=True)
+    y = np.ascontiguousarray(y.T)  # one contiguous row per function, as is d1
+    d1 = np.array(flow(list(y)))
+    d2 = np.array(flow(list(y + 1e-100j * d1))).imag * 1e100
+    return residual_einstein(sysf.einstein(), State(dict(zip(fns, y))),
+                             dict(zip(fns, d1)), dict(zip(fns, d2)), 0.0)
 
 
 #: Mirror monitors and the pair of functions each one compares.
@@ -498,9 +515,9 @@ def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
         extra = {}
         if check == "einstein_lambda0":
             # unbounded where the stored flow is: a collapse sample exactly on zero
-            finite = np.isfinite(traj.d).all(axis=1)
+            keep = _usable(_finite_rows(traj.d))
             vals = np.full(len(traj.t), np.inf)
-            vals[finite] = np.max(np.abs(_einstein_rows(sys, traj.y[finite])), axis=0)
+            vals[keep] = np.max(np.abs(_einstein_rows(sys, traj.y[keep])), axis=0)
         elif check == "su4_constraint":
             s = np.abs(col["a1"] + col["a2"])
             q = np.abs(col["a1"] ** 2 - col["b"] ** 2 - col["c"] ** 2)
@@ -520,14 +537,15 @@ def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
 def transform_trajectory(smap, traj: Trajectory) -> Trajectory:
     """Apply a symmetry map to a trajectory; t-reversal reverses sample order.
     Derivatives come from the flow, except that a non-finite row stays inf."""
-    finite = np.isfinite(traj.d).all(axis=1)
+    finite = _finite_rows(traj.d)
     columns = smap.apply_to_values(dict(zip(traj.functions, traj.y.T)))
     y = np.column_stack([columns[fn] for fn in traj.functions])
     t = smap.t_sign * traj.t
     if smap.t_sign < 0:
         t, y, finite = t[::-1], y[::-1], finite[::-1]
+    keep = _usable(finite)
     d = np.full_like(y, np.inf)
-    d[finite] = _rhs_rows(traj.system, y[finite])
+    d[keep] = _rhs_rows(traj.system, y[keep])
     return Trajectory(system=traj.system, t=t, y=y, d=d,
                       termination=traj.termination,
                       stats={"transformed_by": smap.name})

@@ -7,6 +7,7 @@ into the straight-line float code of the flow and of the Einstein residual.
 """
 from __future__ import annotations
 
+import ast
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,6 +365,7 @@ def _source(sys: SystemId, batch: bool) -> str:
                 expr += (" - " if coeff < 0 else " + ") + _monomial(coeff, powers)
         exprs.append(expr[3:] if expr.startswith(" + ") else "-" + expr[3:])
         checked.update(fn for fn, _ in base)
+    shared, exprs = _name_shared(exprs)
     prefixes = ("",) if first else ("", "d_", "dd_")
     return "\n".join([
         "def flow(y):" if first else "def residual(y, d1, d2, lam):",
@@ -371,7 +373,59 @@ def _source(sys: SystemId, batch: bool) -> str:
           for p, arg in zip(prefixes, ("y", "d1", "d2"))),
         *(f"    if not {fn}{'.all()' if batch else ''}: raise ZeroDenominator({fn!r})"
           for fn in fns if fn in checked),
+        *(f"    {line}" for line in shared),
         "    return [", *(f"        {e}," for e in exprs), "    ]\n"])
+
+
+def _name_shared(exprs: list[str]) -> tuple[list[str], list[str]]:
+    """Assignments `t<i> = ...` of every operation that occurs more than once
+    in exprs, and exprs reading those names.
+
+    Two operations are the same when they apply the same operator to the same
+    operands in the same order, as Python parses exprs; a negated constant is
+    a constant.  Operations are hash-consed into a DAG, and a node used by two
+    or more parents (or roots) is named, children before parents, so each
+    distinct operation is computed once.
+    """
+    ids: dict = {}  # (operator, *operand ids) or the source of a leaf -> id
+    nodes: list = []  # id -> (its key, the first node parsed with that key)
+    uses = Counter()  # id -> parents and roots reading it
+
+    def intern(node) -> int:
+        if isinstance(node, ast.BinOp):
+            key = (type(node.op), intern(node.left), intern(node.right))
+        elif isinstance(node, ast.UnaryOp) and not isinstance(node.operand, ast.Constant):
+            key = (type(node.op), intern(node.operand))
+        else:
+            key = ast.unparse(node)
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append((key, node))
+            uses.update(key[1:] if isinstance(key, tuple) else ())
+        return ids[key]
+
+    roots = [intern(ast.parse(e, mode="eval").body) for e in exprs]
+    uses.update(roots)
+    names: dict[int, str] = {}
+    shared: list[str] = []
+
+    def emit(i: int):
+        """Node i over its operands, or the name it was given."""
+        if i in names:
+            return ast.Name(names[i])
+        key, node = nodes[i]
+        if not isinstance(key, tuple):
+            return node
+        if isinstance(node, ast.BinOp):
+            node = ast.BinOp(emit(key[1]), node.op, emit(key[2]))
+        else:
+            node = ast.UnaryOp(node.op, emit(key[1]))
+        if uses[i] < 2:
+            return node
+        names[i] = f"t{len(names)}"
+        shared.append(f"{names[i]} = {ast.unparse(node)}")
+        return ast.Name(names[i])
+    return shared, [ast.unparse(emit(i)) for i in roots]
 
 
 def compiled(sys: SystemId, batch: bool = False):
@@ -385,7 +439,8 @@ def compiled(sys: SystemId, batch: bool = False):
     columns with batch) in the system's order.  The nonzero checks cover the
     multipliers' factors in that order, so ZeroDenominator names the first
     that vanished.  Coefficients are integer ratios, so the code runs exactly
-    on Fraction inputs.
+    on Fraction inputs.  An operation that occurs more than once is computed
+    once, into a local (`_name_shared`), which leaves every result as it was.
     """
     return _compiled(sys, bool(batch))
 

@@ -122,7 +122,7 @@ def dim_hom_torus(src: TorusModuleSum, dst: TorusModuleSum) -> int:
 
 #: Orbit tokens accepted by dim_W.  "u12" is the flag orbit with the principal
 #: orbit unquotiented; "u12-z2" is the same orbit under the order-two quotient
-#: of the exceptional principal orbit.
+#: of the exceptional principal orbit N^{1,1} (which is also N^{-1,-1}).
 TORUS_ORBITS = ("u12", "u12-z2")
 
 
@@ -140,8 +140,10 @@ def dim_W(aw: AloffWallach, orbit: str, m: int, part: str) -> int:
     if orbit not in TORUS_ORBITS:
         raise ValueError(f"unknown orbit {orbit!r}; expected one of {TORUS_ORBITS + ('s5',)}")
     if orbit == "u12-z2":
-        if (aw.k, aw.l) != (1, 1):
-            raise ValueError("the order-two quotient exists only for (k, l) = (1, 1)")
+        if (aw.k, aw.l) not in ((1, 1), (-1, -1)):
+            raise ValueError("the order-two quotient exists only for "
+                             "(k, l) = (1, 1) or (-1, -1)")
+        aw = AloffWallach(1, 1)  # N^{-1,-1} is the orbit N^{1,1}
         r = 4 * aw.delta
     else:
         r = 2 * aw.delta

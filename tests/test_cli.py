@@ -42,6 +42,17 @@ class TestDims:
         assert code == 0
         assert [r["dim"] for r in json.loads(out)] == [3, 2, 3, 2]
 
+    def test_quotient_of_minus_one_minus_one(self, capsys):
+        code, out, _ = run(capsys, "dims", "--k", "-1", "--l", "-1",
+                           "--orbit", "u12-z2", "--m-max", "24", "--format", "json")
+        assert code == 0
+        _, want, _ = run(capsys, "dims", "--k", "1", "--l", "1",
+                         "--orbit", "u12-z2", "--m-max", "24", "--format", "json")
+        assert out == want
+        code, _, err = run(capsys, "dims", "--k", "2", "--l", "1", "--orbit", "u12-z2")
+        assert code == 2
+        assert "(k, l) = (1, 1) or (-1, -1)" in err
+
     def test_unknown_orbit_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "dims", "--orbit", "cigar")
@@ -135,6 +146,32 @@ class TestVerify:
         assert [r["case"] for r in reports] == ["G", "H"]
         assert all(r["ok"] for r in reports)
 
+
+    def test_workers_capped_at_the_number_of_cases(self, capsys, monkeypatch):
+        # a stub pool records its size and runs the jobs here: no process starts
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        for jobs, want in (("5000", 2), ("2", 2), ("1", None)):
+            code, out, _ = run(capsys, "verify", "--case", "G,H", "--jobs", jobs,
+                               "--t-end", "0.3", "--order", "12")
+            assert code == 0
+            assert [r["case"] for r in json.loads(out)] == ["G", "H"]
+            assert sizes == ([want] if want else [])
+            sizes.clear()
 
     def test_each_case_reports_only_the_names_it_reads(self, capsys):
         # q is G's slot parameter; the holonomy solve of D reads no q

@@ -142,6 +142,13 @@ class TestDimensionTables:
         with pytest.raises(ValueError):
             dim_W(AloffWallach(2, 1), "u12-z2", 2, "h")
 
+    def test_quotient_of_minus_one_minus_one_is_that_of_one_one(self):
+        # N^{-1,-1} is the orbit N^{1,1}: the same quotient and the same table
+        for m in range(25):
+            for part in ("h", "v"):
+                assert (dim_W(AloffWallach(-1, -1), "u12-z2", m, part)
+                        == dim_W(AloffWallach(1, 1), "u12-z2", m, part)), (m, part)
+
 
 _PAIRS_12 = [(k, l) for k in range(-12, 13) for l in range(-12, 13)
              if (k, l) != (0, 0) and gcd(k, l) == 1]
@@ -192,7 +199,7 @@ class TestErrors:
         ((1, 1), "u13", -1, "x",
          "unknown orbit 'u13'; expected one of ('u12', 'u12-z2', 's5')"),
         ((2, 1), "u12-z2", -1, "x",
-         "the order-two quotient exists only for (k, l) = (1, 1)"),
+         "the order-two quotient exists only for (k, l) = (1, 1) or (-1, -1)"),
         ((2, 1), "u12", -1, "x", "m must be >= 0"),
         ((1, 1), "u12-z2", -3, "h", "m must be >= 0"),
         ((2, 1), "u12", 0, "x", "part must be 'h' or 'v'"),
