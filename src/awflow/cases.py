@@ -132,20 +132,23 @@ class OrbitCase:
     # -- orbit / system ---------------------------------------------------------
 
     def resolve_aw(self, k: int | None = None, l: int | None = None) -> AloffWallach:
+        """The orbit of the case at (k, l): a pinned case takes the pinned pair
+        or its sign flip and returns the pinned pair."""
         if self.fixed_kl is not None:
-            if k is not None and (k, l) != self.fixed_kl:
+            aw = AloffWallach(*self.fixed_kl)
+            if k is not None and not aw.same_orbit(k, l):
                 raise ConstraintError(
                     f"case {self.id} is pinned to (k, l) = {self.fixed_kl}"
                 )
-            return AloffWallach(*self.fixed_kl)
+            return aw
         if k is None or l is None:
             raise ConstraintError(f"case {self.id} needs --k and --l")
-        # N^{k,l} and N^{-k,-l} are the same orbit
-        if (k, l) in self.excluded_kl or (-k, -l) in self.excluded_kl:
+        aw = AloffWallach(k, l)
+        if any(aw.same_orbit(*kl) for kl in self.excluded_kl):
             raise ConstraintError(
                 f"(k, l) = ({k}, {l}) is excluded for case {self.id}"
             )
-        return AloffWallach(k, l)
+        return aw
 
     def system(self, aw: AloffWallach) -> SystemId:
         return SystemId(self.system_kind, aw)

@@ -536,16 +536,21 @@ def monitor_residuals(sys: SystemId, traj: Trajectory, checks) -> dict:
 
 def transform_trajectory(smap, traj: Trajectory) -> Trajectory:
     """Apply a symmetry map to a trajectory; t-reversal reverses sample order.
-    Derivatives come from the flow, except that a non-finite row stays inf."""
+    Derivatives come from the flow, except that a non-finite row stays inf.
+    The samples move by one column permutation and one sign row, both exact."""
     finite = _finite_rows(traj.d)
-    columns = smap.apply_to_values(dict(zip(traj.functions, traj.y.T)))
-    y = np.column_stack([columns[fn] for fn in traj.functions])
+    col = {fn: i for i, fn in enumerate(traj.functions)}
+    src, sign = dict(smap.source), dict(smap.signs)
+    y = traj.y[:, [col[src[fn]] for fn in traj.functions]]
+    y *= [sign[fn] for fn in traj.functions]
     t = smap.t_sign * traj.t
     if smap.t_sign < 0:
         t, y, finite = t[::-1], y[::-1], finite[::-1]
-    keep = _usable(finite)
-    d = np.full_like(y, np.inf)
-    d[keep] = _rhs_rows(traj.system, y[keep])
+    if finite.all():
+        d = _rhs_rows(traj.system, y)
+    else:
+        d = np.full_like(y, np.inf)
+        d[finite] = _rhs_rows(traj.system, y[finite])
     return Trajectory(system=traj.system, t=t, y=y, d=d,
                       termination=traj.termination,
                       stats={"transformed_by": smap.name})

@@ -113,6 +113,25 @@ class TestSeries:
             SeriesSolution.from_json(json.loads(out_file.read_text()))).to_json()
         assert first == again
 
+    @pytest.mark.parametrize("cid, k, l", [
+        ("B", -1, 0), ("C", -1, -1), ("D", -1, 1), ("F", -1, -1), ("G", -1, -1),
+        ("H", -1, -1),
+    ])
+    def test_pinned_case_accepts_its_sign_flip(self, capsys, cid, k, l):
+        # N^{-k,-l} is the orbit N^{k,l}: the same series, written at the pinned pair
+        case = get_case(cid)
+        assert case.fixed_kl == (-k, -l)
+        argv = ["series", "--case", cid, "--order", "6"]
+        for name in case.required_params:
+            argv += ["--param", f"{name}=1"]
+        for slot in case.slots:
+            argv += ["--param", f"{slot.param}=0"]
+        code, want, _ = run(capsys, *argv, "--k", str(-k), "--l", str(-l))
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--k", str(k), "--l", str(l))
+        assert (code, err) == (0, "")
+        assert out == want
+
 
 class TestVerify:
     def test_su4_member_passes(self, capsys):

@@ -3,10 +3,11 @@ from math import gcd
 
 import pytest
 
-from awflow.reptheory import (AloffWallach, Su2ModuleSum, canon_weight,
-                              circle_normalization, decompose_S2_p, dim_hom_torus,
-                              dim_W, dim_W_s5, first_return_time, isotropy_modules,
-                              su2_sym_power, torus_sym_power)
+from awflow.reptheory import (AloffWallach, _S2_p_weights, circle_normalization,
+                              dim_W, dim_W_s5, first_return_time)
+from modulesums import (Su2ModuleSum, TorusModuleSum, canon_weight, decompose_S2_p,
+                        dim_hom_torus, isotropy_modules, su2_sym_power,
+                        torus_sym_power)
 
 
 class TestAloffWallach:
@@ -20,6 +21,14 @@ class TestAloffWallach:
             AloffWallach(0, 0)
         with pytest.raises(ValueError):
             AloffWallach(2, 4)
+
+    def test_same_orbit_is_the_pair_or_its_sign_flip(self):
+        aw = AloffWallach(2, -1)
+        assert aw.same_orbit(2, -1) and aw.same_orbit(-2, 1)
+        for k, l in [(1, -2), (-1, 2), (2, 1), (-2, -1), (0, 0), (4, -2)]:
+            assert not aw.same_orbit(k, l), (k, l)
+        assert AloffWallach(1, 0).same_orbit(-1, 0)
+        assert not AloffWallach(1, 0).same_orbit(0, 1)
 
 
 class TestWeights:
@@ -75,6 +84,17 @@ class TestWeights:
             (12, 0): 1, (6, 6): 1, (6, -6): 1, (9, 3): 1, (3, -3): 1,
             (3, 3): 1, (9, -3): 1, (0, 6): 1, (6, 0): 1,
         }
+
+    def test_tangent_square_matches_the_weight_table(self):
+        # the symmetric square of V1 + V2 + V3 against the nine weights and
+        # three trivial summands dim_W reads
+        for k, l in _PAIRS_12:
+            aw = AloffWallach(k, l)
+            table = TorusModuleSum(trivial=3)
+            for r, s in _S2_p_weights(aw):
+                table.add(r, s)
+            assert decompose_S2_p(aw) == table, (k, l)
+        assert len(_PAIRS_12) == 368
 
 
 class TestHomCounting:
@@ -155,8 +175,8 @@ _PAIRS_12 = [(k, l) for k in range(-12, 13) for l in range(-12, 13)
 
 
 class TestCountingMatchesModuleSums:
-    """dim_W and dim_W_s5 count matching weights; the module sums are the
-    reference they must agree with."""
+    """dim_W and dim_W_s5 count matching weights; the module sums of
+    tests/modulesums.py are the reference they must agree with."""
 
     def test_torus_orbits(self):
         checked = 0
