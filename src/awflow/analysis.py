@@ -18,14 +18,14 @@ def detect_f_vanishing(aw: AloffWallach, order: int = 30,
 
     Applies to the flag-orbit configuration with a generic principal orbit or
     its (1, 0) sibling; the exceptional (1, 1) configuration has f'(0) != 0
-    and is rejected.
+    and is rejected.  (k, l) and (-k, -l) name the same orbit.
     """
-    if (aw.k, aw.l) == (1, 1):
+    if aw.same_orbit(1, 1):
         raise ConstraintError(
             "the (1, 1) flag configuration has a nonvanishing first "
             "derivative; the induction does not apply (use case C)"
         )
-    case = get_case("B" if (aw.k, aw.l) == (1, 0) else "A")
+    case = get_case("B" if aw.same_orbit(1, 0) else "A")
     if params is None:
         params = {"a0": 1, "b0": 1, "c0": 1}
     sol = solve_series(case, params, order=order, k=aw.k, l=aw.l)

@@ -137,25 +137,27 @@ def _t(coeff, *factors, lam=0):
     return Term(Fraction(coeff), tuple(sorted(counted)), lam)
 
 
-def _s1_identities(k: int, l: int) -> list[PolyIdentity]:
-    D = k * k + k * l + l * l
+def _torus_weights(k: int, l: int) -> tuple[int, dict[str, int]]:
+    """delta = k^2 + kl + l^2 and the torus weight of N^{k,l} on a, b, c."""
+    return k * k + k * l + l * l, {"a": k + l, "b": -l, "c": -k}
 
-    def metric(x: str, o1: str, o2: str, weight: int) -> PolyIdentity:
+
+def _s1_identities(k: int, l: int) -> list[PolyIdentity]:
+    D, w = _torus_weights(k, l)
+
+    def metric(x: str, o1: str, o2: str) -> PolyIdentity:
         return PolyIdentity(x, (
             _t(2 * D, (x, 1), "a", "b", "c"),
             _t(-2 * D, x, (o1, 0, 2)),
             _t(-2 * D, x, (o2, 0, 2)),
             _t(2 * D, (x, 0, 3)),
-            _t(weight, "f", o1, o2),
+            _t(w[x], "f", o1, o2),
         ))
     i_f = PolyIdentity("f", (
         _t(2 * D, ("f", 1), ("a", 0, 2), ("b", 0, 2), ("c", 0, 2)),
-        _t(-k - l, ("f", 0, 2), ("b", 0, 2), ("c", 0, 2)),
-        _t(l, ("f", 0, 2), ("a", 0, 2), ("c", 0, 2)),
-        _t(k, ("f", 0, 2), ("a", 0, 2), ("b", 0, 2)),
+        *(_t(-w[x], ("f", 0, 2), (y, 0, 2), (z, 0, 2)) for x, y, z in ("abc", "bac", "cab")),
     ))
-    return [metric("a", "b", "c", k + l), metric("b", "c", "a", -l),
-            metric("c", "a", "b", -k), i_f]
+    return [metric("a", "b", "c"), metric("b", "c", "a"), metric("c", "a", "b"), i_f]
 
 
 def _s2_identities() -> list[PolyIdentity]:
@@ -193,127 +195,89 @@ def _s2_identities() -> list[PolyIdentity]:
     return [fiber("a1", "a2"), fiber("a2", "a1"), base("b", "c"), base("c", "b"), i5]
 
 
-def _e1_metric_identity(x: str, others: tuple[str, str], weight2: Fraction) -> PolyIdentity:
-    """The cleared x-equation of the generic Einstein system.
+def _einstein(x: str, mult: dict[str, int], clear: dict[str, int], *orbit) -> PolyIdentity:
+    """The Einstein equation of x, or of d/dt for "trace", times its clearing
+    multiplier M = prod(fn^clear[fn]).  The metric is dt^2 + sum(fn^2 g_fn),
+    g_fn spanning mult[fn] orbit directions, mult in the system's order.  The
+    radial part is -x''/x - (mult[x] - 1)(x'/x)^2 - sum over fn != x of
+    mult[fn] x'fn'/(x fn), and -sum(mult[fn] fn''/fn) for the trace.  The
+    identity is M times it, then the orbit terms (given cleared), then -lambda M."""
+    def term(coeff, *derivs, lam=0) -> Term:  # M times the product of fn^(d)/fn
+        over = Counter(fn for fn, _ in derivs)
+        return _t(coeff, *derivs, *((fn, 0, p - over[fn]) for fn, p in clear.items()), lam=lam)
 
-    x is one of a, b, c; others are the remaining two metric functions;
-    weight2 is the square of the torus weight entering the f^2/x^4 term.
-    multiplier: x^4 * o1^2 * o2^2 * f.
-    """
-    o1, o2 = others
-    return PolyIdentity(x, (
-        _t(-1, (x, 2), (x, 0, 3), (o1, 0, 2), (o2, 0, 2), "f"),
-        _t(-1, (x, 1, 2), (x, 0, 2), (o1, 0, 2), (o2, 0, 2), "f"),
-        _t(-2, (x, 1), (o1, 1), (x, 0, 3), o1, (o2, 0, 2), "f"),
-        _t(-2, (x, 1), (o2, 1), (x, 0, 3), (o1, 0, 2), o2, "f"),
-        _t(-1, (x, 1), ("f", 1), (x, 0, 3), (o1, 0, 2), (o2, 0, 2)),
-        _t(6, (x, 0, 2), (o1, 0, 2), (o2, 0, 2), "f"),
-        _t(-weight2 / 2, ("f", 0, 3), (o1, 0, 2), (o2, 0, 2)),
-        _t(1, (x, 0, 6), "f"),
-        _t(-1, (x, 0, 2), (o1, 0, 4), "f"),
-        _t(-1, (x, 0, 2), (o2, 0, 4), "f"),
-        _t(-1, (x, 0, 4), (o1, 0, 2), (o2, 0, 2), "f", lam=1),
-    ))
+    if x == "trace":
+        radial = [term(-m, (fn, 2)) for fn, m in mult.items()]
+    else:
+        radial = [term(-1, (x, 2))]
+        if mult[x] > 1:
+            radial.append(term(1 - mult[x], (x, 1), (x, 1)))
+        radial += [term(-m, (x, 1), (fn, 1)) for fn, m in mult.items() if fn != x]
+    return PolyIdentity(x, (*radial, *orbit, term(-1, lam=1)))
 
 
 def _e1_identities(k: int, l: int) -> list[PolyIdentity]:
-    D = Fraction(k * k + k * l + l * l)
-    wa = Fraction((k + l) ** 2) / D ** 2
-    wb = Fraction(l ** 2) / D ** 2
-    wc = Fraction(k ** 2) / D ** 2
-    ia = _e1_metric_identity("a", ("b", "c"), wa)
-    ib = _e1_metric_identity("b", ("a", "c"), wb)
-    ic = _e1_metric_identity("c", ("a", "b"), wc)
-    # f-equation multiplied by a^4 b^4 c^4 f
-    i_f = PolyIdentity("f", (
-        _t(-1, ("f", 2), ("a", 0, 4), ("b", 0, 4), ("c", 0, 4)),
-        _t(-2, ("f", 1), ("a", 1), ("a", 0, 3), ("b", 0, 4), ("c", 0, 4)),
-        _t(-2, ("f", 1), ("b", 1), ("a", 0, 4), ("b", 0, 3), ("c", 0, 4)),
-        _t(-2, ("f", 1), ("c", 1), ("a", 0, 4), ("b", 0, 4), ("c", 0, 3)),
-        _t(wa / 2, ("f", 0, 3), ("b", 0, 4), ("c", 0, 4)),
-        _t(wb / 2, ("f", 0, 3), ("a", 0, 4), ("c", 0, 4)),
-        _t(wc / 2, ("f", 0, 3), ("a", 0, 4), ("b", 0, 4)),
-        _t(-1, "f", ("a", 0, 4), ("b", 0, 4), ("c", 0, 4), lam=1),
-    ))
-    tr = PolyIdentity("trace", (
-        _t(-2, ("a", 2), "b", "c", "f"),
-        _t(-2, ("b", 2), "a", "c", "f"),
-        _t(-2, ("c", 2), "a", "b", "f"),
-        _t(-1, ("f", 2), "a", "b", "c"),
-        _t(-1, "a", "b", "c", "f", lam=1),
-    ))
-    return [ia, ib, ic, i_f, tr]
+    """The generic Einstein system; the multipliers are a^4 b^2 c^2 f for the
+    a-equation (b and c alike), a^4 b^4 c^4 f for f and abcf for the trace."""
+    D, w = _torus_weights(k, l)
+    w2 = {x: Fraction(v * v, D * D) for x, v in w.items()}
+    mult = {"a": 2, "b": 2, "c": 2, "f": 1}
 
-
-def _e2_a_identity(x: str, y: str) -> PolyIdentity:
-    """Cleared a1 (or a2) equation; multiplier x^4 y^2 b^2 c^2 f^2."""
-    return PolyIdentity(x, (
-        _t(-1, (x, 2), (x, 0, 3), (y, 0, 2), ("b", 0, 2), ("c", 0, 2), ("f", 0, 2)),
-        _t(-1, (x, 1), (y, 1), (x, 0, 3), y, ("b", 0, 2), ("c", 0, 2), ("f", 0, 2)),
-        _t(-2, (x, 1), ("b", 1), (x, 0, 3), (y, 0, 2), "b", ("c", 0, 2), ("f", 0, 2)),
-        _t(-2, (x, 1), ("c", 1), (x, 0, 3), (y, 0, 2), ("b", 0, 2), "c", ("f", 0, 2)),
-        _t(-1, (x, 1), ("f", 1), (x, 0, 3), (y, 0, 2), ("b", 0, 2), ("c", 0, 2), "f"),
-        _t(6, (x, 0, 2), (y, 0, 2), ("b", 0, 2), ("c", 0, 2), ("f", 0, 2)),
-        _t(Fraction(-2, 9), ("f", 0, 4), (x, 0, 2), ("b", 0, 2), ("c", 0, 2)),
-        _t(18, (x, 0, 6), ("b", 0, 2), ("c", 0, 2)),
-        _t(-18, (x, 0, 2), (y, 0, 4), ("b", 0, 2), ("c", 0, 2)),
-        _t(1, (x, 0, 6), (y, 0, 2), ("f", 0, 2)),
-        _t(-1, (x, 0, 2), (y, 0, 2), ("b", 0, 4), ("f", 0, 2)),
-        _t(-1, (x, 0, 2), (y, 0, 2), ("c", 0, 4), ("f", 0, 2)),
-        _t(-1, (x, 0, 4), (y, 0, 2), ("b", 0, 2), ("c", 0, 2), ("f", 0, 2), lam=1),
-    ))
-
-
-def _e2_bc_identity(x: str, o: str) -> PolyIdentity:
-    """Cleared b (or c) equation; multiplier a1^2 a2^2 x^4 o^2 f."""
-    return PolyIdentity(x, (
-        _t(-1, (x, 2), (x, 0, 3), ("a1", 0, 2), ("a2", 0, 2), (o, 0, 2), "f"),
-        _t(-1, (x, 1, 2), (x, 0, 2), ("a1", 0, 2), ("a2", 0, 2), (o, 0, 2), "f"),
-        _t(-1, (x, 1), ("a1", 1), (x, 0, 3), "a1", ("a2", 0, 2), (o, 0, 2), "f"),
-        _t(-1, (x, 1), ("a2", 1), (x, 0, 3), ("a1", 0, 2), "a2", (o, 0, 2), "f"),
-        _t(-2, (x, 1), (o, 1), (x, 0, 3), ("a1", 0, 2), ("a2", 0, 2), o, "f"),
-        _t(-1, (x, 1), ("f", 1), (x, 0, 3), ("a1", 0, 2), ("a2", 0, 2), (o, 0, 2)),
-        _t(6, (x, 0, 2), ("a1", 0, 2), ("a2", 0, 2), (o, 0, 2), "f"),
-        _t(Fraction(-1, 18), ("f", 0, 3), ("a1", 0, 2), ("a2", 0, 2), (o, 0, 2)),
-        _t(Fraction(1, 2), (x, 0, 6), ("a2", 0, 2), "f"),
-        _t(Fraction(-1, 2), ("a1", 0, 4), ("a2", 0, 2), (x, 0, 2), "f"),
-        _t(Fraction(-1, 2), ("a2", 0, 2), (x, 0, 2), (o, 0, 4), "f"),
-        _t(Fraction(1, 2), (x, 0, 6), ("a1", 0, 2), "f"),
-        _t(Fraction(-1, 2), ("a2", 0, 4), ("a1", 0, 2), (x, 0, 2), "f"),
-        _t(Fraction(-1, 2), ("a1", 0, 2), (x, 0, 2), (o, 0, 4), "f"),
-        _t(-1, ("a1", 0, 2), ("a2", 0, 2), (x, 0, 4), (o, 0, 2), "f", lam=1),
-    ))
+    def metric(x: str, o1: str, o2: str) -> PolyIdentity:
+        return _einstein(
+            x, mult, {x: 4, o1: 2, o2: 2, "f": 1},
+            _t(6, (x, 0, 2), (o1, 0, 2), (o2, 0, 2), "f"),
+            _t(-w2[x] / 2, ("f", 0, 3), (o1, 0, 2), (o2, 0, 2)),
+            _t(1, (x, 0, 6), "f"),
+            *(_t(-1, (x, 0, 2), (o, 0, 4), "f") for o in (o1, o2)),
+        )
+    i_f = _einstein(
+        "f", mult, {"a": 4, "b": 4, "c": 4, "f": 1},
+        *(_t(w2[x] / 2, ("f", 0, 3), (y, 0, 4), (z, 0, 4)) for x, y, z in ("abc", "bac", "cab")),
+    )
+    return [metric("a", "b", "c"), metric("b", "a", "c"), metric("c", "a", "b"), i_f,
+            _einstein("trace", mult, dict.fromkeys(mult, 1))]
 
 
 def _e2_identities() -> list[PolyIdentity]:
-    ia1 = _e2_a_identity("a1", "a2")
-    ia2 = _e2_a_identity("a2", "a1")
-    ib = _e2_bc_identity("b", "c")
-    ic = _e2_bc_identity("c", "b")
-    # f-equation multiplied by a1^2 a2^2 b^4 c^4 f^2
-    i_f = PolyIdentity("f", (
-        _t(-1, ("f", 2), "f", ("a1", 0, 2), ("a2", 0, 2), ("b", 0, 4), ("c", 0, 4)),
-        _t(-1, ("f", 1), ("a1", 1), "f", "a1", ("a2", 0, 2), ("b", 0, 4), ("c", 0, 4)),
-        _t(-1, ("f", 1), ("a2", 1), "f", ("a1", 0, 2), "a2", ("b", 0, 4), ("c", 0, 4)),
-        _t(-2, ("f", 1), ("b", 1), "f", ("a1", 0, 2), ("a2", 0, 2), ("b", 0, 3), ("c", 0, 4)),
-        _t(-2, ("f", 1), ("c", 1), "f", ("a1", 0, 2), ("a2", 0, 2), ("b", 0, 4), ("c", 0, 3)),
+    """The (1, 1) Einstein system; the multipliers are a1^4 a2^2 b^2 c^2 f^2
+    for the a1-equation (a2 alike), a1^2 a2^2 b^4 c^2 f for b (c alike),
+    a1^2 a2^2 b^4 c^4 f^2 for f and a1 a2 b c f for the trace."""
+    mult = {"a1": 1, "a2": 1, "b": 2, "c": 2, "f": 1}
+
+    def fiber(x: str, y: str) -> PolyIdentity:
+        return _einstein(
+            x, mult, {x: 4, y: 2, "b": 2, "c": 2, "f": 2},
+            _t(6, (x, 0, 2), (y, 0, 2), ("b", 0, 2), ("c", 0, 2), ("f", 0, 2)),
+            _t(Fraction(-2, 9), ("f", 0, 4), (x, 0, 2), ("b", 0, 2), ("c", 0, 2)),
+            _t(18, (x, 0, 6), ("b", 0, 2), ("c", 0, 2)),
+            _t(-18, (x, 0, 2), (y, 0, 4), ("b", 0, 2), ("c", 0, 2)),
+            _t(1, (x, 0, 6), (y, 0, 2), ("f", 0, 2)),
+            *(_t(-1, (x, 0, 2), (y, 0, 2), (o, 0, 4), ("f", 0, 2)) for o in "bc"),
+        )
+
+    def base(x: str, o: str) -> PolyIdentity:
+        return _einstein(
+            x, mult, {"a1": 2, "a2": 2, x: 4, o: 2, "f": 1},
+            _t(6, (x, 0, 2), ("a1", 0, 2), ("a2", 0, 2), (o, 0, 2), "f"),
+            _t(Fraction(-1, 18), ("f", 0, 3), ("a1", 0, 2), ("a2", 0, 2), (o, 0, 2)),
+            # (x^4 - z^4 - o^4) / (2 z^2 x^2 o^2) for each fibre z, y the other
+            *(t for z, y in (("a1", "a2"), ("a2", "a1")) for t in (
+                _t(Fraction(1, 2), (x, 0, 6), (y, 0, 2), "f"),
+                _t(Fraction(-1, 2), (z, 0, 4), (y, 0, 2), (x, 0, 2), "f"),
+                _t(Fraction(-1, 2), (y, 0, 2), (x, 0, 2), (o, 0, 4), "f"))),
+        )
+    i_f = _einstein(
+        "f", mult, {"a1": 2, "a2": 2, "b": 4, "c": 4, "f": 2},
         _t(36, ("a1", 0, 2), ("a2", 0, 2), ("b", 0, 4), ("c", 0, 4)),
         _t(-18, ("a1", 0, 4), ("b", 0, 4), ("c", 0, 4)),
         _t(-18, ("a2", 0, 4), ("b", 0, 4), ("c", 0, 4)),
         _t(Fraction(2, 9), ("f", 0, 4), ("b", 0, 4), ("c", 0, 4)),
         _t(Fraction(1, 18), ("f", 0, 4), ("a1", 0, 2), ("a2", 0, 2), ("c", 0, 4)),
         _t(Fraction(1, 18), ("f", 0, 4), ("a1", 0, 2), ("a2", 0, 2), ("b", 0, 4)),
-        _t(-1, ("f", 0, 2), ("a1", 0, 2), ("a2", 0, 2), ("b", 0, 4), ("c", 0, 4), lam=1),
-    ))
-    tr = PolyIdentity("trace", (
-        _t(-1, ("a1", 2), "a2", "b", "c", "f"),
-        _t(-1, ("a2", 2), "a1", "b", "c", "f"),
-        _t(-2, ("b", 2), "a1", "a2", "c", "f"),
-        _t(-2, ("c", 2), "a1", "a2", "b", "f"),
-        _t(-1, ("f", 2), "a1", "a2", "b", "c"),
-        _t(-1, "a1", "a2", "b", "c", "f", lam=1),
-    ))
-    return [ia1, ia2, ib, ic, i_f, tr]
+    )
+    return [fiber("a1", "a2"), fiber("a2", "a1"), base("b", "c"), base("c", "b"), i_f,
+            _einstein("trace", mult, dict.fromkeys(mult, 1))]
 
 
 @cache

@@ -42,10 +42,9 @@ class SystemId:
         if self.kind in ("S1", "E1") and self.aw is None:
             raise ValueError(f"{self.kind} requires orbit parameters (k, l)")
         if self.kind in ("S2", "E2"):
-            if self.aw is None:
-                object.__setattr__(self, "aw", AloffWallach(1, 1))
-            elif (self.aw.k, self.aw.l) != (1, 1):
+            if self.aw is not None and not self.aw.same_orbit(1, 1):
                 raise ValueError(f"{self.kind} is specific to (k, l) = (1, 1)")
+            object.__setattr__(self, "aw", AloffWallach(1, 1))
 
     @property
     def functions(self) -> tuple[str, ...]:
@@ -137,7 +136,7 @@ def symmetry_maps(sys: SystemId) -> list[SymmetryMap]:
     sysf = sys.first_order()
     if sysf.kind == "S1":
         maps = [_sym("flip_af", S1_FUNCTIONS, (-1, 1, 1, -1))]
-        if (sysf.aw.k, sysf.aw.l) == (1, -1):
+        if sysf.aw.same_orbit(1, -1):
             maps.append(_sym("mirror_bc", S1_FUNCTIONS, (-1, 1, 1, 1),
                              perm={"b": "c", "c": "b"}))
         return maps

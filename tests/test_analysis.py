@@ -29,6 +29,23 @@ class TestVanishingInduction:
         with pytest.raises(ConstraintError):
             detect_f_vanishing(AloffWallach(1, 1))
 
+    def test_exceptional_sign_flip_rejected_as_exceptional(self):
+        with pytest.raises(ConstraintError, match=r"\(1, 1\).*use case C"):
+            detect_f_vanishing(AloffWallach(-1, -1))
+
+    def test_one_zero_sign_flip_runs_case_b(self, monkeypatch):
+        # the record is the same under either case, so watch which one solves
+        solved = []
+        real_solve = analysis.solve_series
+
+        def recording_solve(case, *args, **kwargs):
+            solved.append(case.id)
+            return real_solve(case, *args, **kwargs)
+        monkeypatch.setattr(analysis, "solve_series", recording_solve)
+        rec = detect_f_vanishing(AloffWallach(-1, 0), order=12)
+        assert solved == ["B"]
+        assert rec["all_zero"]
+
     def test_stable_under_random_parameters(self):
         rng = random.Random(20260811)
         for _ in range(5):

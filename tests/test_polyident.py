@@ -93,7 +93,7 @@ def test_first_order_exceptional(s2_functions):
         assert sp.simplify(got - want) == 0, fn
 
 
-@pytest.mark.parametrize("kl", [(2, 1), (1, -1)])
+@pytest.mark.parametrize("kl", [(2, 1), (1, -1), (1, 0), (3, -1), (-2, -1)])
 def test_einstein_generic(kl, s1_functions):
     k, l = kl
     D = k * k + k * l + l * l
@@ -342,3 +342,27 @@ class TestProductPlan:
         plans = [term_plan(polynomialize(SystemId("S1", AloffWallach(k, l))))
                  for k, l in ((2, 1), (3, 1), (1, -1))]
         assert plans[0] is plans[1] is plans[2]
+
+
+#: (terms, sha256 of every (label, coeff, factors, lam) in order) of each table.
+_TERM_DIGESTS = {
+    ("S1", (2, 1)): (19, "3fe2326fc5754af3c68fc5234c4332accd6e598a7f364930e59521e7cc0a5ee0"),
+    ("S1", (1, -1)): (19, "39fbaea8d8acf5b19ee3453b730512a4c1b5593e9f63bff0afe684f1d159a5fb"),
+    ("S1", (1, 0)): (19, "e4dda2f3ea7b0cbc2e604c4d5d3e8bd20b99c0e711e8fa1486461c8be1e27d0b"),
+    ("S1", (-2, -1)): (19, "52eab9ced7e793d610eecec9c54aad77d681dadbc7ce1fa51d9fc2edf851cf80"),
+    ("E1", (2, 1)): (46, "d9f42cbc0d824cb723f209062c95d16ecf76ad2197f8df0c294eedc936f053a1"),
+    ("E1", (1, -1)): (46, "8ea1dddce84e7028cebe65bcd7f689907a70df98537604fa73ad257b84b6e583"),
+    ("E1", (1, 0)): (46, "f8fd4af283429c268ab5f09a837fdb394446dbe13a706c1598cbe47b8c2f6783"),
+    ("E1", (-2, -1)): (46, "d9f42cbc0d824cb723f209062c95d16ecf76ad2197f8df0c294eedc936f053a1"),
+    ("S2", None): (37, "c0527896b23263d68c408ae45e85d2358d81bb7a3252da1a9eb1431e423d7ab3"),
+    ("E2", None): (74, "8712c115a03cce824f23ae575e4ae68df4a41dc51b08edf94b077cab98975e70"),
+}
+
+
+@pytest.mark.parametrize("kind,kl", sorted(_TERM_DIGESTS, key=repr))
+def test_term_digest(kind, kl):
+    # the exact coefficients, product plans and generated code all follow from
+    # these tables, so a rewrite of how they are built must leave them as they are
+    sysid = SystemId(kind, kl and AloffWallach(*kl))
+    rows = [(i.label, t.coeff, t.factors, t.lam) for i in polynomialize(sysid) for t in i.terms]
+    assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == _TERM_DIGESTS[kind, kl]

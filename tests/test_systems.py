@@ -24,6 +24,15 @@ class TestSystemId:
         with pytest.raises(ValueError):
             SystemId("S2", AloffWallach(2, 1))
 
+    @pytest.mark.parametrize("kind", ["S2", "E2"])
+    def test_exceptional_sign_flip_is_the_pinned_orbit(self, kind):
+        # N^{-1,-1} is N^{1,1}: the pair is normalized, not rejected
+        assert SystemId(kind, AloffWallach(-1, -1)) == SystemId(kind)
+        assert SystemId(kind, AloffWallach(-1, -1)).aw == AloffWallach(1, 1)
+        for kl in ((1, -1), (-1, 1), (2, 1)):
+            with pytest.raises(ValueError):
+                SystemId(kind, AloffWallach(*kl))
+
     def test_generic_needs_orbit(self):
         with pytest.raises(ValueError):
             SystemId("S1")
@@ -133,6 +142,19 @@ class TestSymmetryMaps:
         assert len(symmetry_maps(SystemId("S1", AloffWallach(2, 1)))) == 1
         assert len(symmetry_maps(SystemId("S1", AloffWallach(1, -1)))) == 2
         assert len(symmetry_maps(SystemId("S2"))) == 7
+
+    @pytest.mark.parametrize("kl", [(1, -1), (-1, 1)])
+    def test_mirror_on_both_signs_of_the_sphere_orbit(self, kl):
+        # F(map(y)) = t_sign * map(F(y)) exactly, at random rational states
+        sysid = SystemId("S1", AloffWallach(*kl))
+        mirror = next(m for m in symmetry_maps(sysid) if m.name == "mirror_bc")
+        rng = random.Random(11)
+        for _ in range(20):
+            y = {fn: Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
+                 for fn in sysid.functions}
+            lhs = rhs_first_order(sysid, State(mirror.apply_to_values(y)))
+            rhs = mirror.apply_to_values(rhs_first_order(sysid, State(y)))
+            assert lhs == {fn: mirror.t_sign * v for fn, v in rhs.items()}
 
     def test_maps_preserve_solutions_exactly(self):
         # transformed series still satisfy the polynomial identities
